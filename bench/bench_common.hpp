@@ -102,9 +102,10 @@ inline ec::CodecOptions full_options(size_t block,
 }
 
 /// Registers an encode-throughput benchmark over a shared codec/cluster.
-inline void register_encode(const std::string& name, std::shared_ptr<const Codec> codec,
-                            std::shared_ptr<Cluster> cluster) {
-  benchmark::RegisterBenchmark(name.c_str(), [codec, cluster](benchmark::State& state) {
+inline benchmark::internal::Benchmark* register_encode(
+    const std::string& name, std::shared_ptr<const Codec> codec,
+    std::shared_ptr<Cluster> cluster) {
+  return benchmark::RegisterBenchmark(name.c_str(), [codec, cluster](benchmark::State& state) {
     for (auto _ : state) {
       codec->encode(cluster->data_ptrs.data(), cluster->parity_ptrs.data(),
                     cluster->frag_len);

@@ -26,7 +26,10 @@ int main(int argc, char** argv) {
     ec::CodecOptions opt = full_options(block);
     opt.exec.threads = threads;
     auto codec = std::make_shared<ec::RsCodec>(n, p, opt);
-    register_encode("threads_encode/t" + std::to_string(threads), codec, cluster);
+    // Wall clock: the workers run on other threads, so the calling
+    // thread's CPU time would undercount and inflate GB/s.
+    register_encode("threads_encode/t" + std::to_string(threads), codec, cluster)
+        ->UseRealTime();
   }
 
   // Stripe-level scaling: same total bytes per flush across 8 stripes of

@@ -12,10 +12,12 @@
 //   ./net_client --port-file ports.txt                  # as written by net_server
 //   ./net_client --tcp-port P --udp-port P [--spec S] [--loss 0.15]
 //
-// Exits 0 only when every byte compared equal and every group was delivered.
+// Exits 0 only when every byte compared equal and every group was delivered;
+// 1 on a failed check or a socket/protocol error, 2 on bad arguments.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,11 +36,7 @@ void check(bool ok, const char* what) {
   if (!ok) ++g_failures;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (xorec::examples::handle_list_codecs(argc, argv)) return 0;
-
+int run(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::string spec = "rs(6,4)";
   std::string port_file;
@@ -189,4 +187,18 @@ int main(int argc, char** argv) {
   }
   std::printf("net_client: all checks passed\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (xorec::examples::handle_list_codecs(argc, argv)) return 0;
+  // Socket and protocol failures (refused connection, response timeout, an
+  // Error frame) surface as exceptions; report them instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "net_client: %s\n", e.what());
+    return 1;
+  }
 }

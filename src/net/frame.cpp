@@ -1,5 +1,6 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -10,29 +11,60 @@ namespace xorec::net {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t t[256];
-  Crc32Table() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
-      t[i] = c;
-    }
-  }
+/// Slice-by-8 tables: t[0] is the classic byte table; t[j][b] is the CRC
+/// register contribution of byte b followed by j zero bytes, so eight
+/// lookups absorb one 64-bit word.
+struct Crc32Tables {
+  uint32_t t[8][256];
 };
 
-const Crc32Table& crc_table() {
-  static const Crc32Table table;
-  return table;
+constexpr Crc32Tables make_crc_tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+    tables.t[0][i] = c;
+  }
+  for (int j = 1; j < 8; ++j)
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables.t[j - 1][i];
+      tables.t[j][i] = (prev >> 8) ^ tables.t[0][prev & 0xff];
+    }
+  return tables;
 }
+
+constexpr Crc32Tables kCrcTables = make_crc_tables();
 
 }  // namespace
 
-uint32_t crc32(const uint8_t* data, size_t len, uint32_t seed) {
-  const Crc32Table& table = crc_table();
+namespace detail {
+
+uint32_t crc32_portable(const uint8_t* data, size_t len, uint32_t seed) {
+  const auto& t = kCrcTables.t;
   uint32_t c = ~seed;
-  for (size_t i = 0; i < len; ++i) c = (c >> 8) ^ table.t[(c ^ data[i]) & 0xff];
+  for (; len >= 8; data += 8, len -= 8) {
+    // Byte-explicit little-endian load; folds into one load on LE hosts.
+    uint64_t w = 0;
+    for (int i = 0; i < 8; ++i) w |= static_cast<uint64_t>(data[i]) << (8 * i);
+    w ^= c;
+    c = t[7][w & 0xff] ^ t[6][(w >> 8) & 0xff] ^ t[5][(w >> 16) & 0xff] ^
+        t[4][(w >> 24) & 0xff] ^ t[3][(w >> 32) & 0xff] ^ t[2][(w >> 40) & 0xff] ^
+        t[1][(w >> 48) & 0xff] ^ t[0][w >> 56];
+  }
+  for (; len > 0; ++data, --len) c = (c >> 8) ^ t[0][(c ^ *data) & 0xff];
   return ~c;
+}
+
+}  // namespace detail
+
+uint32_t crc32(const uint8_t* data, size_t len, uint32_t seed) {
+  static const auto impl = [] {
+#if defined(XOREC_HAVE_PCLMUL)
+    if (detail::cpu_has_pclmul()) return detail::crc32_clmul;
+#endif
+    return detail::crc32_portable;
+  }();
+  return impl(data, len, seed);
 }
 
 // ---- little-endian field I/O -----------------------------------------------
@@ -170,7 +202,8 @@ std::vector<uint8_t> build_frame(FrameHeader header, std::string_view spec,
 
   std::vector<uint8_t> frame(wire::kFrameHeaderSize + header.body_size());
   uint8_t* body = frame.data() + wire::kFrameHeaderSize;
-  std::memcpy(body, spec.data(), spec.size());
+  // std::copy, not memcpy: an empty spec may have a null data().
+  std::copy(spec.begin(), spec.end(), body);
   uint8_t* frag = body + spec.size();
   for (size_t i = 0; i < header.payload_count; ++i, frag += header.frag_len)
     std::memcpy(frag, payloads[i], header.frag_len);
@@ -260,7 +293,7 @@ std::vector<uint8_t> build_packet(PacketHeader header, std::string_view spec,
 
   std::vector<uint8_t> packet(wire::kPacketHeaderSize + spec.size() + payload.size());
   uint8_t* body = packet.data() + wire::kPacketHeaderSize;
-  std::memcpy(body, spec.data(), spec.size());
+  std::copy(spec.begin(), spec.end(), body);
   if (!payload.empty()) std::memcpy(body + spec.size(), payload.data(), payload.size());
   header.body_crc = crc32(body, spec.size() + payload.size());
   encode_packet_header(header, packet.data());

@@ -42,7 +42,19 @@ namespace xorec::net {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum both
 /// wire formats carry. `seed` chains multi-buffer CRCs: crc32(b, ...,
 /// crc32(a, ...)) == CRC of a||b.
+/// Computed by a carry-less-multiply fold on CPUs with PCLMULQDQ and by a
+/// slice-by-8 table loop elsewhere, chosen once per process.
 uint32_t crc32(const uint8_t* data, size_t len, uint32_t seed = 0);
+
+namespace detail {
+// The implementations crc32() chooses between, same contract; declared so
+// tests can check each one directly.
+uint32_t crc32_portable(const uint8_t* data, size_t len, uint32_t seed);
+// Defined only when built with XOREC_HAVE_PCLMUL. cpu_has_pclmul() is the
+// memoized probe (PCLMULQDQ + SSE4.1); call crc32_clmul only when it holds.
+bool cpu_has_pclmul();
+uint32_t crc32_clmul(const uint8_t* data, size_t len, uint32_t seed);
+}  // namespace detail
 
 namespace wire {
 

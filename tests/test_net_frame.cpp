@@ -9,6 +9,7 @@
 // false Ok.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -334,4 +335,122 @@ TEST(NetFrame, CrcChainsAcrossBuffers) {
   EXPECT_EQ(crc32(b, sizeof b, crc32(a, sizeof a)), crc32(ab, sizeof ab));
   EXPECT_NE(crc32(a, sizeof a), 0u);
   EXPECT_STREQ(frame_error_name(FrameError::BadCrc), "bad_crc");
+}
+
+// ---- CRC-32 implementations --------------------------------------------------
+
+namespace {
+
+/// Bit at a time, straight from the definition: the reference both the
+/// table loop and the carry-less fold are checked against.
+uint32_t crc32_bitwise_update(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int b = 0; b < 8; ++b) reg = (reg >> 1) ^ (0xEDB88320u & (0u - (reg & 1)));
+  return reg;
+}
+
+uint32_t crc32_bitwise(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t reg = ~seed;
+  for (size_t i = 0; i < len; ++i) reg = crc32_bitwise_update(reg, data[i]);
+  return ~reg;
+}
+
+using Crc32Fn = uint32_t (*)(const uint8_t*, size_t, uint32_t);
+
+/// Every length 0..2100 at every start offset 0..63 (so every alignment,
+/// fold count and tail size), with and without a seed; a 1 MiB buffer; and
+/// chaining at every split point of a buffer that spans the fold threshold.
+void expect_matches_bitwise_reference(Crc32Fn fn) {
+  std::vector<uint8_t> buf(1u << 20);
+  uint64_t state = 0xC5C5C5C5;
+  for (auto& b : buf) b = static_cast<uint8_t>(state = mix64(state));
+
+  for (const uint32_t seed : {0u, 0x9E3779B9u}) {
+    for (size_t offset = 0; offset < 64; ++offset) {
+      const uint8_t* p = buf.data() + offset;
+      uint32_t reg = ~seed;  // reference register after `len` bytes
+      for (size_t len = 0; len <= 2100; ++len) {
+        ASSERT_EQ(fn(p, len, seed), ~reg)
+            << "len " << len << " offset " << offset << " seed " << seed;
+        reg = crc32_bitwise_update(reg, p[len]);
+      }
+    }
+  }
+
+  EXPECT_EQ(fn(buf.data(), buf.size(), 0), crc32_bitwise(buf.data(), buf.size(), 0));
+  EXPECT_EQ(fn(buf.data() + 3, buf.size() - 3, 0xFFFFFFFFu),
+            crc32_bitwise(buf.data() + 3, buf.size() - 3, 0xFFFFFFFFu));
+
+  const size_t n = 300;
+  const uint32_t whole = fn(buf.data(), n, 0);
+  for (size_t split = 0; split <= n; ++split)
+    ASSERT_EQ(fn(buf.data() + split, n - split, fn(buf.data(), split, 0)), whole)
+        << "split " << split;
+}
+
+}  // namespace
+
+TEST(NetFrame, Crc32KnownAnswerPinsTheIeeeWireFormat) {
+  const auto* check = reinterpret_cast<const uint8_t*>("123456789");
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_portable(check, 9, 0), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32(nullptr, 0, 0x12345678u), 0x12345678u);
+}
+
+TEST(NetFrame, Crc32PortablePathMatchesBitwiseReference) {
+  expect_matches_bitwise_reference(detail::crc32_portable);
+}
+
+TEST(NetFrame, Crc32ClmulPathMatchesBitwiseReference) {
+#if defined(XOREC_HAVE_PCLMUL)
+  if (!detail::cpu_has_pclmul()) GTEST_SKIP() << "CPU lacks pclmul/sse4.1";
+  const auto* check = reinterpret_cast<const uint8_t*>("123456789");
+  EXPECT_EQ(detail::crc32_clmul(check, 9, 0), 0xCBF43926u);
+  expect_matches_bitwise_reference(detail::crc32_clmul);
+#else
+  GTEST_SKIP() << "built without the pclmul CRC path";
+#endif
+}
+
+TEST(NetFrame, Crc32DispatchMatchesBitwiseReference) {
+  std::vector<uint8_t> buf(40 * 1024 + 7);
+  uint64_t state = 0x5EED;
+  for (auto& b : buf) b = static_cast<uint8_t>(state = mix64(state));
+  for (const size_t len : {size_t{52}, size_t{64}, size_t{4096}, buf.size()})
+    EXPECT_EQ(crc32(buf.data(), len), crc32_bitwise(buf.data(), len, 0)) << len;
+}
+
+// ---- empty specs ---------------------------------------------------------------
+
+TEST(NetFrame, EmptySpecPingFrameAndSpeclessPacketBuild) {
+  // A default-constructed string_view has a null data(); building from it
+  // must not hand that pointer to memcpy (UBSan checks this in CI).
+  FrameHeader h;
+  h.type = FrameType::Ping;
+  h.request_id = 7;
+  const std::vector<uint8_t> ping = build_frame(h, std::string_view{}, nullptr);
+  ASSERT_EQ(ping.size(), wire::kFrameHeaderSize);
+  FrameHeader d;
+  ASSERT_EQ(decode_frame_header(ping.data(), ping.size(), d), FrameError::Ok);
+  FrameView view;
+  ASSERT_EQ(bind_frame_body(d, ping.data() + wire::kFrameHeaderSize, 0, view),
+            FrameError::Ok);
+  EXPECT_EQ(view.header.type, FrameType::Ping);
+  EXPECT_TRUE(view.spec.empty());
+
+  PacketHeader ph;
+  ph.group = 3;
+  ph.strip = 1;
+  ph.k = 6;
+  ph.m = 4;
+  const std::vector<uint8_t> payload(32, 0x5A);
+  for (const std::span<const uint8_t> body :
+       {std::span<const uint8_t>(payload), std::span<const uint8_t>()}) {
+    const std::vector<uint8_t> pkt = build_packet(ph, std::string_view{}, body);
+    PacketView pv;
+    ASSERT_EQ(decode_packet(pkt.data(), pkt.size(), pv), FrameError::Ok);
+    EXPECT_TRUE(pv.spec.empty());
+    EXPECT_TRUE(std::equal(pv.payload.begin(), pv.payload.end(), body.begin(), body.end()));
+  }
 }

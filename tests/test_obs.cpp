@@ -487,6 +487,20 @@ TEST(ObsService, BrokenOrMissizedLoadProvidersFallBackToRoundRobin) {
 
 // ---- monitor over real sockets ---------------------------------------------
 
+namespace {
+
+/// Waits (at most 10 s) until `server` has dispatched more than `floor`
+/// requests, so a scrape after it sees traffic that moved however slowly
+/// the host (or a sanitizer) runs the client thread.
+void wait_for_requests_past(const net::NetServer& server, double floor) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (static_cast<double>(server.stats().requests) <= floor &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+}  // namespace
+
 TEST(ObsMonitor, ServesMetricsAndStatsJsonUnderConcurrentTraffic) {
   CodecService service(isolated());
   net::NetServer server(service, {});
@@ -512,7 +526,7 @@ TEST(ObsMonitor, ServesMetricsAndStatsJsonUnderConcurrentTraffic) {
       client.encode("rs(6,4)", bufs.data_ptrs.data(), 6, parity.ptrs.data(), 4, 1024);
   });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  wait_for_requests_past(server, 0);
   const HttpResult first = http_get(monitor.port(), "/metrics");
   ASSERT_EQ(first.status, "HTTP/1.0 200 OK");
   EXPECT_NE(first.headers.find("Content-Type: text/plain"), std::string::npos);
@@ -524,7 +538,7 @@ TEST(ObsMonitor, ServesMetricsAndStatsJsonUnderConcurrentTraffic) {
         "xorec_net_tcp_bytes_in_total", "xorec_window_samples"})
     EXPECT_EQ(fam1.count(required), 1u) << required;
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  wait_for_requests_past(server, fam1.at("xorec_net_requests_total")[0]);
   const HttpResult second = http_get(monitor.port(), "/metrics?probe=1");
   ASSERT_EQ(second.status, "HTTP/1.0 200 OK");
   const auto fam2 = parse_prometheus(second.body);
