@@ -10,8 +10,7 @@
 //
 // --monitor-port (even 0) enables the observability stack: a
 // MetricsRegistry over the service and server, a Sampler ring for windowed
-// rates (which also drives depth-based shard placement of new pools), and
-// the HTTP MonitorServer. Without the flag none of it runs.
+// rates, and the HTTP MonitorServer. Without the flag none of it runs.
 //
 // Serves until --seconds elapse (default: forever, SIGINT/SIGTERM to stop),
 // then prints the serving report: requests, degraded reads, backpressure
@@ -86,9 +85,8 @@ int main(int argc, char** argv) {
   xorec::net::NetServer server(service, opt);
 
   // The observability stack (only with --monitor-port): registry over both
-  // counter surfaces, sampler ring for windowed rates + depth-driven pool
-  // placement, HTTP endpoint. Declared in this order so teardown runs
-  // monitor -> sampler -> registry.
+  // counter surfaces, sampler ring for windowed rates, HTTP endpoint.
+  // Declared in this order so teardown runs monitor -> sampler -> registry.
   xorec::obs::MetricsRegistry registry;
   std::unique_ptr<xorec::obs::Sampler> sampler;
   std::unique_ptr<xorec::obs::MonitorServer> monitor_server;
@@ -96,7 +94,6 @@ int main(int argc, char** argv) {
     registry.attach(service);
     registry.attach(server);
     sampler = std::make_unique<xorec::obs::Sampler>(registry, sam_opt);
-    sampler->drive_placement(service);
     sampler->start();
     mon_opt.host = opt.host;
     monitor_server = std::make_unique<xorec::obs::MonitorServer>(registry, mon_opt);

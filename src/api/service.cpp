@@ -13,7 +13,24 @@
 
 namespace xorec {
 
+namespace {
+
+std::atomic<uint64_t> next_pool_id{1};
+
+// The shard the calling thread's previous handle job went to, and the id
+// of that job's pool (CodecService::route).
+struct LastRoute {
+  uint64_t pool = 0;
+  size_t shard = 0;
+};
+thread_local LastRoute last_route;
+
+}  // namespace
+
 struct CodecService::Pool {
+  // Process-unique (never reused, unlike the address): names the pool in
+  // each thread's LastRoute.
+  const uint64_t id = next_pool_id.fetch_add(1, std::memory_order_relaxed);
   std::string spec;  // canonical key
   std::shared_ptr<const Codec> codec;
   size_t shard = 0;
@@ -32,9 +49,8 @@ struct CodecService::Pool {
 struct CodecService::Shard {
   explicit Shard(size_t workers) : session(workers) {}
   BatchCoder session;  // codec-less: every submit names its pool's codec
-  // Payload bytes of handle-routed jobs (ObjectCodec blob jobs ride the
-  // session too but size their own buffers; the session's submitted()
-  // counter covers both).
+  // Payload bytes of handle-routed jobs (jobs submitted on session()
+  // directly are counted by the session's submitted() alone).
   std::atomic<uint64_t> bytes{0};
 };
 
@@ -51,6 +67,12 @@ std::shared_ptr<const Codec> ServiceHandle::codec_ptr() const {
 const std::string& ServiceHandle::spec() const { return XOREC_POOL(pool_).spec; }
 size_t ServiceHandle::shard() const { return XOREC_POOL(pool_).shard; }
 
+size_t ServiceHandle::queue_depth() const {
+  size_t depth = 0;
+  (void)service_->route(XOREC_POOL(pool_), &depth);
+  return depth;
+}
+
 BatchCoder& ServiceHandle::session() const {
   return service_->shards_[XOREC_POOL(pool_).shard]->session;
 }
@@ -58,7 +80,7 @@ BatchCoder& ServiceHandle::session() const {
 std::future<void> ServiceHandle::encode(const uint8_t* const* data,
                                         uint8_t* const* parity, size_t frag_len) const {
   CodecService::Pool& pool = XOREC_POOL(pool_);
-  CodecService::Shard& shard = *service_->shards_[pool.shard];
+  CodecService::Shard& shard = service_->route_job(pool);
   pool.encodes.fetch_add(1, std::memory_order_relaxed);
   shard.bytes.fetch_add(static_cast<uint64_t>(pool.codec->data_fragments()) * frag_len,
                         std::memory_order_relaxed);
@@ -77,7 +99,7 @@ std::future<void> ServiceHandle::reconstruct(std::shared_ptr<const ReconstructPl
                                              uint8_t* const* out, size_t frag_len) const {
   if (!plan) throw std::invalid_argument("ServiceHandle: null plan");
   CodecService::Pool& pool = XOREC_POOL(pool_);
-  CodecService::Shard& shard = *service_->shards_[pool.shard];
+  CodecService::Shard& shard = service_->route_job(pool);
   pool.reconstructs.fetch_add(1, std::memory_order_relaxed);
   shard.bytes.fetch_add(static_cast<uint64_t>(plan->erased().size()) * frag_len,
                         std::memory_order_relaxed);
@@ -98,7 +120,7 @@ std::future<void> ServiceHandle::rebuild(std::vector<uint32_t> available,
                                          std::vector<uint32_t> erased, uint8_t* const* out,
                                          size_t frag_len) const {
   CodecService::Pool& pool = XOREC_POOL(pool_);
-  CodecService::Shard& shard = *service_->shards_[pool.shard];
+  CodecService::Shard& shard = service_->route_job(pool);
   pool.reconstructs.fetch_add(1, std::memory_order_relaxed);
   shard.bytes.fetch_add(static_cast<uint64_t>(erased.size()) * frag_len,
                         std::memory_order_relaxed);
@@ -132,7 +154,6 @@ CodecService::CodecService(Options opt)
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i)
     shards_.push_back(std::make_unique<Shard>(opt_.workers_per_shard));
-  shard_pools_.assign(n, 0);
   const CacheStats s = cache_view();
   baseline_hits_ = s.hits;
   baseline_misses_ = s.misses;
@@ -161,12 +182,10 @@ CodecService::Pool& CodecService::pool_for(const CodecSpec& parsed) {
   cs.warmup_path.clear();
   const std::string key = canonical_spec(cs);
 
-  ShardLoadProvider load_provider;
   {
     std::lock_guard lk(mu_);
     const auto it = by_spec_.find(key);
     if (it != by_spec_.end()) return *it->second;
-    load_provider = shard_load_;
   }
   // Build outside the lock (construction may compile the encoder —
   // milliseconds); racing builders are harmless, first insert wins and the
@@ -175,50 +194,44 @@ CodecService::Pool& CodecService::pool_for(const CodecSpec& parsed) {
   if (opt_.plan_cache) build.options.plan_cache = opt_.plan_cache;
   std::shared_ptr<const Codec> codec(make_codec(build));
 
-  // The load provider also runs OUTSIDE mu_: a sampler-backed provider
-  // reads under its own lock, and its sampling thread takes mu_ through
-  // stats() — invoking it under mu_ would order those locks both ways.
-  std::vector<double> loads;
-  if (load_provider) {
-    try {
-      loads = load_provider();
-    } catch (...) {
-      loads.clear();  // a broken provider degrades to round-robin
-    }
-  }
-
   std::lock_guard lk(mu_);
   const auto it = by_spec_.find(key);
   if (it != by_spec_.end()) return *it->second;
   auto pool = std::make_unique<Pool>();
   pool->spec = key;
   pool->codec = std::move(codec);
-  pool->shard = pick_shard_locked(loads);
-  ++shard_pools_[pool->shard];
+  pool->shard = pools_.size() % shards_.size();  // home shard, round-robin
   Pool& ref = *pool;
   by_spec_.emplace(key, &ref);
   pools_.push_back(std::move(pool));
   return ref;
 }
 
-size_t CodecService::pick_shard_locked(const std::vector<double>& loads) const {
-  if (loads.size() != shards_.size()) return pools_.size() % shards_.size();
-  size_t best = 0;
-  for (size_t i = 1; i < loads.size(); ++i) {
-    if (loads[i] < loads[best]) {
+size_t CodecService::route(const Pool& pool, size_t* depth) const {
+  const size_t n = shards_.size();
+  if (last_route.pool == pool.id && shards_[last_route.shard]->session.pending() == 0) {
+    if (depth) *depth = 0;
+    return last_route.shard;
+  }
+  const size_t home = pool.shard;
+  size_t best = home;
+  size_t best_depth = shards_[home]->session.pending();
+  for (size_t k = 1; k < n && best_depth != 0; ++k) {
+    const size_t i = (home + k) % n;
+    const size_t d = shards_[i]->session.pending();
+    if (d < best_depth) {
       best = i;
-    } else if (loads[i] == loads[best] && shard_pools_[i] < shard_pools_[best]) {
-      // Equal measured load (e.g. an idle service, all zeros) must not pile
-      // every new pool on shard 0 — spread by current pool count instead.
-      best = i;
+      best_depth = d;
     }
   }
+  if (depth) *depth = best_depth;
   return best;
 }
 
-void CodecService::set_shard_load_provider(ShardLoadProvider provider) {
-  std::lock_guard lk(mu_);
-  shard_load_ = std::move(provider);
+CodecService::Shard& CodecService::route_job(const Pool& pool) {
+  const size_t shard = route(pool);
+  last_route = {pool.id, shard};
+  return *shards_[shard];
 }
 
 ServiceHandle CodecService::acquire(const std::string& spec) {
@@ -326,7 +339,7 @@ ServiceStats CodecService::stats() const {
     // time it is read, and submitted only grows — read the other way, a job
     // landing between the loads makes the snapshot show depth > submitted.
     ss.queue_depth = s.session.pending();
-    ss.submitted = s.session.submitted();  // handle-routed + ObjectCodec blob jobs
+    ss.submitted = s.session.submitted();  // handle-routed + direct session() jobs
     ss.bytes_coded = s.bytes.load(std::memory_order_relaxed);
     ss.throughput_gBps =
         out.uptime_s > 0 ? static_cast<double>(ss.bytes_coded) / out.uptime_s / 1e9 : 0;
@@ -337,8 +350,7 @@ ServiceStats CodecService::stats() const {
                                ->level_miss_totals();
   {
     std::lock_guard lk(mu_);
-    for (size_t i = 0; i < shards_.size(); ++i)
-      out.shards[i].pools = shard_pools_[i];
+    for (const auto& pool : pools_) ++out.shards[pool->shard].pools;
     // Snapshot the cache under the same lock that guards the baseline —
     // a concurrent warmup() resetting the window cannot push the baseline
     // past this snapshot (the clamp below guards belt-and-braces anyway,

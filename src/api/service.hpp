@@ -6,7 +6,7 @@
 //
 //   xorec::CodecService service;                     // N-way sharded
 //   auto h = service.acquire("rs(10,4)@block=1024"); // pooled codec lease
-//   h.encode(data_ptrs, parity_ptrs, frag_len);      // routed to h's shard
+//   h.encode(data_ptrs, parity_ptrs, frag_len);      // routed per job
 //   auto plan = h.plan_reconstruct(available, erased);
 //   h.reconstruct(plan, avail_ptrs, out_ptrs, frag_len).get();
 //   xorec::ServiceStats s = service.stats();         // per-shard + per-pool
@@ -14,10 +14,18 @@
 // Pooling: specs are canonicalized (canonical_spec) before lookup, so
 // "rs(10,4)@block=1024,threads=1" and "rs(10, 4) @ threads=1, block=1024"
 // lease ONE codec instance — and, through the shared PlanCache, one set of
-// compiled programs. Each pool entry is pinned round-robin to a shard; a
-// shard is a codec-less BatchCoder session (dedicated TaskQueue workers),
-// so traffic for different pools proceeds in parallel while one pool's jobs
-// stay FIFO on their shard.
+// compiled programs. A shard is a codec-less BatchCoder session (dedicated
+// TaskQueue workers). Each pool gets a home shard, round-robin at creation,
+// and every handle job (encode/reconstruct/rebuild) is routed when it is
+// submitted: to the shard the submitting thread's previous job of that pool
+// went to while that shard's queue is empty, else to the home shard while
+// its queue is empty, else to the shard with the fewest pending jobs (ties
+// keep home). A single closed-loop caller therefore stays on its home
+// shard, while concurrent callers of one hot spec spread over every shard
+// and each keeps to a shard of its own — the same worker, job after job,
+// rather than whichever shard the order of their resubmits left idle. Jobs
+// of one pool may run in parallel and complete in any order: jobs that
+// write the same buffers must be awaited one by one.
 //
 // Warmup/persistence: the plan cache amortizes compilation only when reused,
 // and a fresh process starts cold. save_profile(path) persists the service's
@@ -37,7 +45,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -65,7 +72,7 @@ struct CodecSpec;  // api/registry.hpp
 struct ShardStats {
   size_t shard = 0;
   size_t workers = 0;
-  size_t pools = 0;        // pools currently pinned to this shard
+  size_t pools = 0;        // pools whose home shard this is
   size_t submitted = 0;    // jobs routed to this shard so far
   size_t queue_depth = 0;  // jobs submitted but not yet finished, right now
   uint64_t bytes_coded = 0;  // payload bytes of routed jobs (data in + rebuilt out)
@@ -78,7 +85,7 @@ struct ShardStats {
 /// One pool entry's counters: a pooled codec and the clients leasing it.
 struct PoolStats {
   std::string spec;  // canonical pool key
-  size_t shard = 0;  // the shard carrying this pool's traffic
+  size_t shard = 0;  // home shard (idle-queue jobs run here; busy ones spill)
   size_t clients = 0;       // acquire() calls resolved to this pool
   size_t encodes = 0;       // routed encode jobs
   size_t plans = 0;         // plan_reconstruct calls through handles
@@ -138,17 +145,24 @@ struct ServiceStats {
   }
 };
 
-/// A client's lease on one pooled codec: cheap to copy, routed through the
-/// pool's shard session. Obtain from CodecService::acquire.
+/// A client's lease on one pooled codec: cheap to copy; each job it submits
+/// is routed to a shard session (see the header comment). Obtain from
+/// CodecService::acquire.
 class ServiceHandle {
  public:
   const Codec& codec() const;
   std::shared_ptr<const Codec> codec_ptr() const;
   /// Canonical pool key this lease resolved to.
   const std::string& spec() const;
+  /// The pool's home shard.
   size_t shard() const;
 
-  /// Encode one stripe on the pool's shard (buffer rules as BatchCoder).
+  /// Pending jobs on the shard this thread's next job of this handle would
+  /// be routed to, read now: the router's own measure, which NetServer's
+  /// global backpressure parks on.
+  size_t queue_depth() const;
+
+  /// Encode one stripe on the routed shard (buffer rules as BatchCoder).
   std::future<void> encode(const uint8_t* const* data, uint8_t* const* parity,
                            size_t frag_len) const;
 
@@ -157,7 +171,7 @@ class ServiceHandle {
   std::shared_ptr<const ReconstructPlan> plan_reconstruct(
       const std::vector<uint32_t>& available, const std::vector<uint32_t>& erased) const;
 
-  /// Execute a prepared plan over one stripe on the pool's shard.
+  /// Execute a prepared plan over one stripe on the routed shard.
   std::future<void> reconstruct(std::shared_ptr<const ReconstructPlan> plan,
                                 const uint8_t* const* available_frags,
                                 uint8_t* const* out, size_t frag_len) const;
@@ -169,7 +183,8 @@ class ServiceHandle {
                             std::vector<uint32_t> erased, uint8_t* const* out,
                             size_t frag_len) const;
 
-  /// The shard session carrying this pool's traffic (ObjectCodec routing).
+  /// The home shard's session. Jobs submitted on it directly bypass the
+  /// router and PoolStats; submit through the handle to have both.
   BatchCoder& session() const;
 
   /// Attribute one served network request's wire bytes to this pool
@@ -206,7 +221,7 @@ class CodecService {
   CodecService& operator=(const CodecService&) = delete;
 
   /// Lease the pooled codec for `spec` (canonicalized; pool created on
-  /// first use, pinned round-robin to a shard). A `warmup=PATH` key replays
+  /// first use, homed round-robin on a shard). A `warmup=PATH` key replays
   /// that profile first and is stripped from the pool key; each path
   /// replays at most once per service, a missing file is a quiet cold
   /// start (first boot), and a corrupt one throws like warmup() does.
@@ -237,18 +252,6 @@ class CodecService {
 
   size_t shard_count() const { return shards_.size(); }
 
-  /// Measured per-shard load, indexed by shard id — what depth-driven
-  /// placement consumes (obs::Sampler::drive_placement installs its
-  /// window-mean TaskQueue depths here).
-  using ShardLoadProvider = std::function<std::vector<double>()>;
-
-  /// Route NEW pools to the least-loaded shard per `provider` instead of
-  /// round-robin. Called OUTSIDE the service lock, so a provider may take
-  /// its own locks (and even call stats()); a throwing provider, an empty
-  /// one ({}), or a load vector of the wrong size falls back to
-  /// round-robin. Existing pools keep their pins.
-  void set_shard_load_provider(ShardLoadProvider provider);
-
   /// A consistent-enough snapshot under load: per-counter atomic reads —
   /// totals may trail in-flight traffic by a job, never tear.
   ServiceStats stats() const;
@@ -259,17 +262,22 @@ class CodecService {
   struct Shard;
 
   Pool& pool_for(const CodecSpec& parsed);  // acquire minus the warmup= side effect
-  /// The shard for the next new pool: argmin of `loads` (tie-broken by
-  /// fewest pools, then lowest index), or round-robin when `loads` is
-  /// absent/mis-sized. Caller holds mu_.
-  size_t pick_shard_locked(const std::vector<double>& loads) const;
+  /// Per-job routing for a job of `pool` submitted by the calling thread:
+  /// the shard this thread's previous job of the pool went to while its
+  /// queue is empty, else the home shard while its queue is empty, else the
+  /// shard with the fewest pending jobs, scanned from home + 1 so ties keep
+  /// home and spills from different homes start on different shards.
+  /// Returns the shard id; `depth` (if set) receives that shard's pending
+  /// count. Read-only: route_job() records the choice.
+  size_t route(const Pool& pool, size_t* depth = nullptr) const;
+  /// route() for a job about to be submitted, remembered as the calling
+  /// thread's previous shard for `pool`.
+  Shard& route_job(const Pool& pool);
 
   Options opt_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex mu_;  // guards pools_ / by_spec_ / baseline_ / shard_pools_ / shard_load_
+  mutable std::mutex mu_;  // guards pools_ / by_spec_ / warmed_paths_ / baseline_
   std::vector<std::unique_ptr<Pool>> pools_;  // creation order; never erased
-  std::vector<size_t> shard_pools_;  // pools pinned per shard (placement tie-break)
-  ShardLoadProvider shard_load_;     // copied out of mu_ before invocation
   std::unordered_map<std::string, Pool*> by_spec_;
   std::unordered_set<std::string> warmed_paths_;  // warmup= replays once per path
   std::chrono::steady_clock::time_point start_;

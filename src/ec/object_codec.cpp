@@ -34,15 +34,11 @@ ObjectCodec::ObjectCodec(std::shared_ptr<const Codec> codec) : codec_(std::move(
 
 ObjectCodec::ObjectCodec(const xorec::ServiceHandle& handle)
     : ObjectCodec(handle.codec_ptr()) {
-  default_session_ = &handle.session();
+  handle_ = std::make_shared<const xorec::ServiceHandle>(handle);
 }
 
 ObjectCodec::ObjectCodec(size_t n, size_t p, CodecOptions opt)
     : ObjectCodec(std::make_shared<RsCodec>(n, p, std::move(opt))) {}
-
-BatchCoder* ObjectCodec::session_or_default(BatchCoder* session) const {
-  return session ? session : default_session_;
-}
 
 size_t ObjectCodec::payload_len_for(size_t object_size) const {
   const size_t n = codec_->data_fragments();
@@ -83,7 +79,6 @@ std::optional<ObjectCodec::Header> ObjectCodec::read_header(
 
 EncodedObject ObjectCodec::encode(const uint8_t* object, size_t size,
                                   BatchCoder* session) const {
-  session = session_or_default(session);
   check_session(session, codec_.get());
   const size_t n = codec_->data_fragments();
   const size_t p = codec_->parity_fragments();
@@ -110,6 +105,8 @@ EncodedObject ObjectCodec::encode(const uint8_t* object, size_t size,
     parity.push_back(out.fragments[n + i].data() + kHeaderSize);
   if (session)
     session->submit_encode(codec_, data.data(), parity.data(), payload).get();
+  else if (handle_)
+    handle_->encode(data.data(), parity.data(), payload).get();
   else
     codec_->encode(data.data(), parity.data(), payload);
   return out;
@@ -117,7 +114,6 @@ EncodedObject ObjectCodec::encode(const uint8_t* object, size_t size,
 
 std::optional<std::vector<uint8_t>> ObjectCodec::decode(
     const std::vector<std::vector<uint8_t>>& fragments, BatchCoder* session) const {
-  session = session_or_default(session);
   check_session(session, codec_.get());
   const size_t n = codec_->data_fragments();
   const size_t p = codec_->parity_fragments();
@@ -161,11 +157,15 @@ std::optional<std::vector<uint8_t>> ObjectCodec::decode(
     std::vector<uint8_t*> outs;
     for (auto& r : rebuilt) outs.push_back(r.data());
     try {
+      // get() rethrows a job failure here.
       if (session)
         session
             ->submit_reconstruct(codec_, available, avail_ptrs.data(), erased_data,
                                  outs.data(), payload)
-            .get();  // get() rethrows a job failure here
+            .get();
+      else if (handle_)
+        handle_->rebuild(available, avail_ptrs.data(), erased_data, outs.data(), payload)
+            .get();
       else
         codec_->reconstruct(available, avail_ptrs.data(), erased_data, outs.data(), payload);
     } catch (const std::invalid_argument&) {

@@ -43,10 +43,10 @@ class ObjectCodec {
   /// Wrap any codec (shared so callers can keep using it directly too).
   explicit ObjectCodec(std::shared_ptr<const Codec> codec);
 
-  /// Wrap a CodecService lease: the pooled codec plus its shard session as
-  /// the default routing — blob traffic joins the service's bounded worker
-  /// groups without per-call session plumbing. The service must outlive
-  /// this ObjectCodec.
+  /// Wrap a CodecService lease: calls without an explicit session submit
+  /// through the handle, so blob jobs are routed like any other service
+  /// job (per-job shard choice, PoolStats encodes/reconstructs) without
+  /// per-call session plumbing. The service must outlive this ObjectCodec.
   explicit ObjectCodec(const xorec::ServiceHandle& handle);
 
   /// Convenience: RS(n, p) over GF(2^8), the default engine.
@@ -62,9 +62,9 @@ class ObjectCodec {
   /// share its bounded worker group instead of each coding inline. A
   /// codec-bound session must wrap the SAME codec instance (throws
   /// invalid_argument otherwise); codec-less shard sessions (CodecService)
-  /// route any codec. Passing no session uses the service-handle default
-  /// when constructed from one, else codes inline. The call still returns
-  /// synchronously.
+  /// route any codec. Passing no session submits through the service
+  /// handle when constructed from one, else codes inline. The call still
+  /// returns synchronously.
   EncodedObject encode(const uint8_t* object, size_t size,
                        BatchCoder* session = nullptr) const;
 
@@ -94,12 +94,11 @@ class ObjectCodec {
   static std::optional<Header> read_header(const std::vector<uint8_t>& frag);
 
   size_t payload_len_for(size_t object_size) const;
-  BatchCoder* session_or_default(BatchCoder* session) const;
 
   std::shared_ptr<const Codec> codec_;
-  /// Default routing from the ServiceHandle constructor (shard session
-  /// owned by the service); null when constructed from a bare codec.
-  BatchCoder* default_session_ = nullptr;
+  /// The lease from the ServiceHandle constructor; null when constructed
+  /// from a bare codec.
+  std::shared_ptr<const xorec::ServiceHandle> handle_;
 };
 
 }  // namespace xorec::ec

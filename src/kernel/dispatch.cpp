@@ -5,6 +5,7 @@
 // which kernel family executes.
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 #include "kernel/xor_kernel.hpp"
 
@@ -14,8 +15,10 @@ namespace {
 
 // Override state shared by forced_isa()/set_forced_isa_for_testing(). The
 // environment is consulted lazily exactly once; the test hook replaces the
-// resolved value outright.
+// resolved value outright. Mutex-guarded: codecs are constructed from many
+// threads at once, so the lazy parse must not be a plain flag.
 struct ForceState {
+  std::mutex mu;
   bool parsed = false;
   std::optional<Isa> value;
 };
@@ -102,6 +105,7 @@ bool cpu_has_neon() {
 
 std::optional<Isa> forced_isa() {
   ForceState& s = force_state();
+  std::lock_guard lk(s.mu);
   if (!s.parsed) {
     s.value = parse_env_force();
     s.parsed = true;
@@ -111,6 +115,7 @@ std::optional<Isa> forced_isa() {
 
 void set_forced_isa_for_testing(std::optional<Isa> isa) {
   ForceState& s = force_state();
+  std::lock_guard lk(s.mu);
   s.parsed = true;
   s.value = isa;
 }

@@ -565,9 +565,10 @@ struct NetServer::Impl {
       return;
     }
 
-    // Global backpressure: the pool shard's queue is full — park the parsed
-    // request (reads pause via can_read) and retry when the loop wakes.
-    if (handle->session().pending() >= opt.max_queue_depth) {
+    // Global backpressure: even the shard the router would pick is full —
+    // park the parsed request (reads pause via can_read) and retry when the
+    // loop wakes.
+    if (handle->queue_depth() >= opt.max_queue_depth) {
       if (!retry) backpressure_stalls.fetch_add(1);
       c.deferred = Deferred{h, std::move(body)};
       return;

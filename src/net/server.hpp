@@ -24,10 +24,12 @@
 //   per-connection: at most max_inflight_per_conn submitted-but-unanswered
 //     requests; beyond that the loop stops POLLIN-ing that socket (TCP
 //     backpressure reaches the peer).
-//   global: before submitting, the loop checks the pool shard's queue depth
-//     (BatchCoder::pending(), i.e. TaskQueue::depth()); at max_queue_depth
-//     the parsed request parks in the connection's deferred slot and reads
-//     pause until the queue drains — counted in stats().backpressure_stalls.
+//   global: before submitting, the loop reads ServiceHandle::queue_depth(),
+//     the pending jobs on the shard the service would route the request to
+//     (the home shard when idle, else the least-loaded one). Only when even
+//     that shard holds max_queue_depth jobs does the parsed request park in
+//     the connection's deferred slot, with reads paused until a queue
+//     drains — counted in stats().backpressure_stalls.
 //
 // The UDP socket shares the loop: strip packets feed a per-peer
 // GroupAssembler; a completed group with losses takes the same
@@ -52,7 +54,7 @@ struct ServerOptions {
   uint16_t tcp_port = 0;  // 0 = ephemeral (read back via tcp_port())
   uint16_t udp_port = 0;
   size_t max_inflight_per_conn = 8;
-  size_t max_queue_depth = 256;  // shard-queue depth that parks new requests
+  size_t max_queue_depth = 256;  // routed shard's depth that parks new requests
   size_t max_connections = 64;
 };
 

@@ -70,7 +70,7 @@ void append_service(const CodecService& service, std::vector<Metric>& out) {
     const Labels l{{"shard", std::to_string(s.shard)}};
     shard.gauge("xorec_shard_workers", l, "Dedicated TaskQueue workers of this shard.",
                 static_cast<double>(s.workers));
-    shard.gauge("xorec_shard_pools", l, "Pools pinned to this shard.",
+    shard.gauge("xorec_shard_pools", l, "Pools whose home shard this is.",
                 static_cast<double>(s.pools));
     shard.counter("xorec_shard_jobs_total", l, "Jobs routed to this shard.",
                   static_cast<double>(s.submitted));
@@ -119,7 +119,7 @@ void append_service(const CodecService& service, std::vector<Metric>& out) {
                 {"exec", p.exec_backend},
                 {"isa", p.exec_isa}};
     pool.gauge("xorec_pool_info", std::move(info),
-               "Constant 1: pool shard pin and resolved exec backend/ISA as labels.", 1);
+               "Constant 1: pool home shard and resolved exec backend/ISA as labels.", 1);
   }
 
   Emit cache{out, "plan_cache"};

@@ -11,7 +11,6 @@
 //   registry.attach(net_server);            // NetServerStats
 //
 //   obs::Sampler sampler(registry);         // time series (obs/sampler.hpp)
-//   sampler.drive_placement(service);       // depth-driven shard placement
 //   sampler.start();
 //
 //   obs::MonitorServer monitor(registry);   // obs/monitor.hpp

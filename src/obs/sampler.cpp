@@ -1,9 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <algorithm>
-
-#include "api/service.hpp"
-
 namespace xorec::obs {
 
 namespace {
@@ -21,12 +17,7 @@ Sampler::Sampler(MetricsRegistry& registry, SamplerOptions opt)
   registry_.add_source([this](std::vector<Metric>& out) { append_window_metrics(out); });
 }
 
-Sampler::~Sampler() {
-  stop();
-  std::lock_guard lk(dmu_);
-  for (CodecService* s : driven_) s->set_shard_load_provider({});
-  driven_.clear();
-}
+Sampler::~Sampler() { stop(); }
 
 void Sampler::start() {
   std::lock_guard lk(tmu_);
@@ -131,15 +122,6 @@ std::vector<double> Sampler::shard_depth_means() const {
   return means;
 }
 
-void Sampler::drive_placement(CodecService& service) {
-  {
-    std::lock_guard lk(dmu_);
-    if (std::find(driven_.begin(), driven_.end(), &service) == driven_.end())
-      driven_.push_back(&service);
-  }
-  service.set_shard_load_provider([this] { return shard_depth_means(); });
-}
-
 void Sampler::append_window_metrics(std::vector<Metric>& out) const {
   const auto gauge = [&out](std::string name, std::vector<std::pair<std::string, std::string>> labels,
                             const char* help, double v) {
@@ -181,8 +163,7 @@ void Sampler::append_window_metrics(std::vector<Metric>& out) const {
         static_cast<double>(n));
   for (size_t i = 0; i < depth_means.size(); ++i)
     gauge("xorec_shard_queue_depth_window_mean", {{"shard", std::to_string(i)}},
-          "Mean TaskQueue depth of this shard over the sampler window — the "
-          "depth-driven placement signal.",
+          "Mean TaskQueue depth of this shard over the sampler window.",
           depth_means[i]);
   for (size_t i = 0; i < gBps.size(); ++i)
     gauge("xorec_shard_throughput_window_gBps", {{"shard", std::to_string(i)}},

@@ -13,14 +13,6 @@
 //   xorec_shard_queue_depth_window_mean{shard}         mean TaskQueue depth
 //   xorec_shard_throughput_window_gBps{shard}          d(bytes)/dt / 1e9
 //   xorec_plan_cache_hit_ratio_window                  d(hits)/d(lookups)
-//
-// drive_placement(service) closes the loop: it installs a shard-load
-// provider on the CodecService so NEW pools are pinned to the shard with
-// the lowest measured window-mean queue depth instead of round-robin.
-// Lock order is deadlock-safe by construction: the provider only reads the
-// ring (ring mutex), the sampling thread only takes the ring mutex AFTER
-// registry.collect() returns (which is what takes the service's stats
-// lock) — the two mutexes are never held together in either order.
 #pragma once
 
 #include <chrono>
@@ -36,10 +28,6 @@
 
 #include "obs/metrics.hpp"
 
-namespace xorec {
-class CodecService;
-}
-
 namespace xorec::obs {
 
 struct SamplerOptions {
@@ -54,7 +42,7 @@ class Sampler {
   /// Registers the windowed metrics above as a source on `registry`.
   /// The sampler must outlive scrapes of the registry.
   explicit Sampler(MetricsRegistry& registry, SamplerOptions opt = {});
-  /// stop()s the thread and detaches any drive_placement hook.
+  /// stop()s the thread.
   ~Sampler();
 
   Sampler(const Sampler&) = delete;
@@ -81,16 +69,9 @@ class Sampler {
                      const std::vector<std::pair<std::string, std::string>>& labels =
                          {}) const;
 
-  /// Window-mean xorec_shard_queue_depth per shard, indexed by shard id —
-  /// the load signal drive_placement feeds to CodecService. Empty until
-  /// the first sample lands.
+  /// Window-mean xorec_shard_queue_depth per shard, indexed by shard id.
+  /// Empty until the first sample lands.
   std::vector<double> shard_depth_means() const;
-
-  /// Install this sampler as `service`'s shard-load provider: new pools go
-  /// to the least-loaded shard by measured window-mean queue depth (ties
-  /// and an empty ring fall back to the service's round-robin). Detached
-  /// automatically when the sampler is destroyed.
-  void drive_placement(CodecService& service);
 
  private:
   void append_window_metrics(std::vector<Metric>& out) const;
@@ -107,9 +88,6 @@ class Sampler {
   std::thread thread_;
   bool stop_ = false;
   bool running_ = false;
-
-  std::mutex dmu_;  // guards driven_
-  std::vector<CodecService*> driven_;
 };
 
 }  // namespace xorec::obs

@@ -39,19 +39,23 @@ TaskQueue::~TaskQueue() {
 }
 
 std::future<void> TaskQueue::submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
+  // The depth drops inside the packaged function — before the future is
+  // made ready — and on the exception path too.
+  std::packaged_task<void()> task([this, fn = std::move(fn)] {
+    struct Leave {
+      std::atomic<size_t>& depth;
+      ~Leave() { depth.fetch_sub(1); }
+    } leave{depth_};
+    fn();
+  });
   std::future<void> fut = task.get_future();
+  depth_.fetch_add(1);
   {
     std::lock_guard lk(mu_);
     queue_.push_back(std::move(task));
   }
   cv_work_.notify_one();
   return fut;
-}
-
-size_t TaskQueue::depth() const {
-  std::lock_guard lk(mu_);
-  return queue_.size() + active_;
 }
 
 void TaskQueue::wait_idle() {

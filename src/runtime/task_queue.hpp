@@ -8,6 +8,7 @@
 // order across workers.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -31,10 +32,12 @@ class TaskQueue {
 
   size_t threads() const { return workers_.size(); }
 
-  /// Tasks submitted but not yet finished (queued + executing) — the queue
-  /// depth a service scheduler balances shards by. Exact at the instant of
-  /// the lock; naturally stale the moment it returns.
-  size_t depth() const;
+  /// Tasks submitted whose function has not yet returned (queued +
+  /// executing) — the depth CodecService routes jobs by. A task leaves the
+  /// depth before its future becomes ready, so a caller that has seen its
+  /// own task finish never finds it still counted. Lock-free; naturally
+  /// stale the moment it returns.
+  size_t depth() const { return depth_.load(); }
 
   /// Enqueue fn; the future completes when it has run. An exception thrown
   /// by fn is captured in the future (wait_idle does not rethrow it).
@@ -50,6 +53,7 @@ class TaskQueue {
   std::deque<std::packaged_task<void()>> queue_;
   size_t active_ = 0;
   bool stop_ = false;
+  std::atomic<size_t> depth_{0};
 };
 
 }  // namespace xorec::runtime

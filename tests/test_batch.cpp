@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <random>
 #include <set>
@@ -48,6 +50,30 @@ TEST(TaskQueue, DestructorDrainsTheQueue) {
     for (int i = 0; i < 50; ++i) q.submit([&] { ++count; });
   }  // destructor: drain, then join
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(TaskQueue, DepthDropsBeforeTheFutureIsReady) {
+  // CodecService routes by depth(): a caller that awaited its job and
+  // submits the next one must find the queue empty, or a lone closed-loop
+  // caller would hop shards. Each finished task, even a throwing one, has
+  // left the depth by the time its future is ready.
+  runtime::TaskQueue q(1);
+  for (int i = 0; i < 2000; ++i) {
+    auto f = q.submit(i % 2 ? std::function<void()>([] {})
+                            : std::function<void()>([] { throw std::runtime_error("x"); }));
+    f.wait();
+    ASSERT_EQ(q.depth(), 0u) << "iteration " << i;
+  }
+  // Queued and executing tasks both count.
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  auto running = q.submit([open] { open.wait(); });
+  auto queued = q.submit([] {});
+  EXPECT_EQ(q.depth(), 2u);
+  gate.set_value();
+  running.get();
+  queued.get();
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(TaskQueue, ZeroThreadsClampsToOne) {

@@ -2,9 +2,17 @@
 // UDP socket): remote encode matches local encode byte for byte, remote
 // reconstruct is a wire-served degraded read, malformed and unsatisfiable
 // requests come back as clean Error frames on a connection that stays
-// usable, and the per-pool ServiceStats net counters see the traffic.
+// usable, the per-pool ServiceStats net counters see the traffic, and
+// global backpressure parks pipelined requests without losing one.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -40,6 +48,44 @@ std::vector<std::vector<uint8_t>> make_data() {
       b = static_cast<uint8_t>(x);
     }
   return data;
+}
+
+/// A blocking loopback TCP connection for speaking the frame protocol
+/// directly (net::Client keeps one request on the wire; these pipeline).
+int connect_tcp(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool write_all(int fd, const std::vector<uint8_t>& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool read_exact(int fd, uint8_t* out, size_t len, int timeout_ms) {
+  size_t off = 0;
+  while (off < len) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+    const ssize_t n = ::read(fd, out + off, len - off);
+    if (n <= 0) return false;
+    off += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 /// Server + started lifetime for one test.
@@ -286,4 +332,109 @@ TEST(NetServer, UdpGroupsAreServedOnTheSharedSocket) {
   EXPECT_EQ(stats.udp_groups, static_cast<size_t>(kStripes));
   EXPECT_EQ(stats.udp_unrecoverable, 0u);
   EXPECT_GE(stats.udp_degraded_reads, static_cast<size_t>(degraded));
+}
+
+TEST(NetServer, GlobalBackpressureParksPipelinedRequestsAndAnswersEveryOne) {
+  // One single-worker shard and max_queue_depth = 1: while one request's
+  // job runs, every other parsed request must park (reads paused) and be
+  // retried, never dropped or answered with the wrong bytes.
+  CodecService::Options sopt;
+  sopt.shards = 1;
+  sopt.workers_per_shard = 1;
+  CodecService service(sopt);
+  ServerOptions opt;
+  opt.max_queue_depth = 1;
+  NetServer server(service, opt);
+  server.start();
+
+  // The slowest backend keeps each job running long enough for the other
+  // connection's request to arrive behind it.
+  const std::string spec = "rs(6,4)@passes=base,isa=scalar,exec=interp";
+  constexpr size_t kConns = 2, kPerConn = 4, kFrag = 256 << 10;
+  const auto codec = make_codec(spec);
+
+  struct Request {
+    std::vector<std::vector<uint8_t>> data, parity;
+    std::vector<uint8_t> frame;
+  };
+  std::vector<std::vector<Request>> reqs(kConns, std::vector<Request>(kPerConn));
+  uint64_t x = 0xBACC;
+  for (size_t c = 0; c < kConns; ++c)
+    for (size_t r = 0; r < kPerConn; ++r) {
+      Request& q = reqs[c][r];
+      q.data.assign(kK, std::vector<uint8_t>(kFrag));
+      q.parity.assign(kM, std::vector<uint8_t>(kFrag));
+      std::vector<const uint8_t*> d;
+      std::vector<uint8_t*> p;
+      for (auto& frag : q.data) {
+        for (auto& b : frag) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+          b = static_cast<uint8_t>(x);
+        }
+        d.push_back(frag.data());
+      }
+      for (auto& frag : q.parity) p.push_back(frag.data());
+      codec->encode(d.data(), p.data(), kFrag);
+      FrameHeader h;
+      h.type = FrameType::EncodeRequest;
+      h.request_id = r + 1;
+      h.k = kK;
+      h.frag_len = kFrag;
+      h.present_bitmap = (uint64_t{1} << kK) - 1;
+      h.payload_count = kK;
+      q.frame = build_frame(h, spec, d.data());
+    }
+
+  std::atomic<size_t> correct{0};
+  std::vector<std::thread> conns;
+  for (size_t c = 0; c < kConns; ++c)
+    conns.emplace_back([&, c] {
+      const int fd = connect_tcp(server.tcp_port());
+      ASSERT_GE(fd, 0);
+      // Pipeline: every request goes out before any response is read.
+      std::thread writer([&, fd] {
+        for (const Request& q : reqs[c])
+          if (!write_all(fd, q.frame)) return;
+      });
+      for (size_t n = 0; n < kPerConn; ++n) {
+        uint8_t head[wire::kFrameHeaderSize];
+        FrameHeader h;
+        if (!read_exact(fd, head, sizeof(head), 10000) ||
+            decode_frame_header(head, sizeof(head), h) != FrameError::Ok) {
+          ADD_FAILURE() << "conn " << c << ": no valid response header " << n;
+          break;
+        }
+        std::vector<uint8_t> body(h.body_size());
+        FrameView view;
+        if (!read_exact(fd, body.data(), body.size(), 10000) ||
+            bind_frame_body(h, body.data(), body.size(), view) != FrameError::Ok) {
+          ADD_FAILURE() << "conn " << c << ": bad response body " << n;
+          break;
+        }
+        // No ASSERT past this point: the writer must be joined below.
+        if (h.type != FrameType::Response || h.request_id < 1 || h.request_id > kPerConn ||
+            view.payloads.size() != kM) {
+          ADD_FAILURE() << "conn " << c << ": unexpected response " << n << ": " << view.spec;
+          break;
+        }
+        const Request& q = reqs[c][h.request_id - 1];
+        bool same = true;
+        for (uint32_t i = 0; i < kM; ++i)
+          same = same && std::memcmp(view.payloads[i].data(), q.parity[i].data(), kFrag) == 0;
+        EXPECT_TRUE(same) << "conn " << c << " request " << h.request_id;
+        if (same) ++correct;
+      }
+      ::shutdown(fd, SHUT_RDWR);  // unblocks the writer if reading gave up
+      writer.join();
+      ::close(fd);
+    });
+  for (auto& t : conns) t.join();
+
+  EXPECT_EQ(correct.load(), kConns * kPerConn);
+  const NetServerStats st = server.stats();
+  EXPECT_EQ(st.requests, kConns * kPerConn);
+  EXPECT_GT(st.backpressure_stalls, 0u);
+  server.stop();
 }

@@ -1,6 +1,6 @@
 // The live observability layer end to end: MetricsRegistry flattening every
 // counter surface, Prometheus/bench-json rendering, the Sampler ring and its
-// windowed rates, depth-driven shard placement, and the HTTP MonitorServer —
+// windowed rates, and the HTTP MonitorServer —
 // scraped over real sockets under concurrent service traffic, with the same
 // hostile-input discipline as test_net_frame.cpp for the parser.
 #include <gtest/gtest.h>
@@ -63,8 +63,9 @@ struct Buffers {
   }
 };
 
-/// One pool's parity destination (jobs on one shard run FIFO, so reusing it
-/// across that pool's jobs is race-free).
+/// A parity destination. One pool's jobs may run in parallel on different
+/// shards, so a ParitySet is reused only across jobs that are awaited one
+/// by one.
 struct ParitySet {
   std::vector<std::vector<uint8_t>> bufs;
   std::vector<uint8_t*> ptrs;
@@ -195,8 +196,7 @@ TEST(ObsRegistry, FlattensEveryCounterSurface) {
 
   ServiceHandle h = service.acquire("rs(6,3)");
   ParitySet parity(3);
-  for (int i = 0; i < 4; ++i)
-    (void)h.encode(bufs.data_ptrs.data(), parity.ptrs.data(), 1024);
+  for (int i = 0; i < 4; ++i) h.encode(bufs.data_ptrs.data(), parity.ptrs.data(), 1024).get();
   (void)h.plan_reconstruct({1, 2, 3, 4, 5, 6}, {0});
   service.flush();
 
@@ -330,8 +330,7 @@ TEST(ObsSampler, WindowMetricsRideEveryScrape) {
   ServiceHandle h = service.acquire("rs(6,3)");
   ParitySet parity(3);
   sampler.sample_now();
-  for (int i = 0; i < 8; ++i)
-    (void)h.encode(bufs.data_ptrs.data(), parity.ptrs.data(), 1024);
+  for (int i = 0; i < 8; ++i) h.encode(bufs.data_ptrs.data(), parity.ptrs.data(), 1024).get();
   service.flush();
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   sampler.sample_now();
@@ -371,118 +370,6 @@ TEST(ObsService, MultilevelMissTotalsSurfaceThroughStatsAndMetrics) {
                             {{"level", std::to_string(i)}}),
               double(st.cache_level_misses[i]))
         << "level " << i;
-}
-
-// ---- depth-driven placement -------------------------------------------------
-
-namespace {
-
-/// Submit `n` encode jobs for `h` (m parity strips into `parity`).
-void submit_encodes(const ServiceHandle& h, const Buffers& bufs, ParitySet& parity,
-                    size_t n, size_t frag_len) {
-  for (size_t i = 0; i < n; ++i)
-    (void)h.encode(bufs.data_ptrs.data(), parity.ptrs.data(), frag_len);
-}
-
-size_t shard_submitted_spread(const ServiceStats& st) {
-  const size_t a = st.shards[0].submitted, b = st.shards[1].submitted;
-  return a > b ? a - b : b - a;
-}
-
-const char* kNewSpecs[6] = {"rs(4,2)", "rs(5,2)", "rs(7,2)",
-                            "rs(8,2)", "rs(9,2)", "rs(10,2)"};
-
-}  // namespace
-
-TEST(ObsService, DepthDrivenPlacementNarrowsTheShardSpread) {
-  constexpr size_t kBacklog = 240, kTopup = 40, kMaxTopups = 4, kPerPool = 40;
-  Buffers bufs;
-
-  // --- measured-depth placement --------------------------------------------
-  CodecService driven(isolated());
-  MetricsRegistry registry;
-  registry.attach(driven);
-  Sampler sampler(registry);  // sampled manually: the test controls time
-  sampler.drive_placement(driven);
-
-  // With an empty ring the provider reports nothing: first pool falls back
-  // to round-robin and lands on shard 0.
-  ServiceHandle h0 = driven.acquire("rs(6,3)");
-  ASSERT_EQ(h0.shard(), 0u);
-
-  // Skew: pile a big-fragment backlog on shard 0, then sample until the
-  // ring has seen it (the means are sticky — shard 1's mean stays exactly 0
-  // until a job is ever routed there, so the skew cannot invert).
-  ParitySet backlog_parity(3);
-  size_t backlog = kBacklog;
-  submit_encodes(h0, bufs, backlog_parity, kBacklog, Buffers::kMaxFrag);
-  sampler.sample_now();
-  std::vector<double> means = sampler.shard_depth_means();
-  for (size_t t = 0; means.size() < 2 || means[0] <= means[1]; ++t) {
-    ASSERT_LT(t, kMaxTopups) << "sampler never observed the shard-0 backlog";
-    submit_encodes(h0, bufs, backlog_parity, kTopup, Buffers::kMaxFrag);
-    backlog += kTopup;
-    sampler.sample_now();
-    means = sampler.shard_depth_means();
-  }
-  ASSERT_GT(means[0], 0.0);
-
-  // Every new pool routes to the measured-least-loaded shard 1 — round-robin
-  // would have alternated them onto the drowning shard 0.
-  std::vector<ServiceHandle> pools;
-  for (const char* spec : kNewSpecs) {
-    pools.push_back(driven.acquire(spec));
-    EXPECT_EQ(pools.back().shard(), 1u) << spec;
-  }
-  {
-    const ServiceStats st = driven.stats();
-    EXPECT_EQ(st.shards[0].pools, 1u);
-    EXPECT_EQ(st.shards[1].pools, 6u);
-  }
-
-  std::vector<std::unique_ptr<ParitySet>> parity_sets;
-  for (ServiceHandle& h : pools) {
-    parity_sets.push_back(std::make_unique<ParitySet>(2));
-    submit_encodes(h, bufs, *parity_sets.back(), kPerPool, 1024);
-  }
-  driven.flush();
-  const size_t driven_spread = shard_submitted_spread(driven.stats());
-  // shard0 = backlog (240..400), shard1 = 6 * 40 = 240.
-  EXPECT_EQ(driven.stats().shards[1].submitted, 6 * kPerPool);
-
-  // --- round-robin control ---------------------------------------------------
-  CodecService control(isolated());
-  ServiceHandle c0 = control.acquire("rs(6,3)");
-  ASSERT_EQ(c0.shard(), 0u);
-  ParitySet control_parity(3);
-  submit_encodes(c0, bufs, control_parity, kBacklog, Buffers::kMaxFrag);
-  std::vector<ServiceHandle> control_pools;
-  for (const char* spec : kNewSpecs) control_pools.push_back(control.acquire(spec));
-  std::vector<std::unique_ptr<ParitySet>> control_sets;
-  for (ServiceHandle& h : control_pools) {
-    control_sets.push_back(std::make_unique<ParitySet>(2));
-    submit_encodes(h, bufs, *control_sets.back(), kPerPool, 1024);
-  }
-  control.flush();
-  const size_t control_spread = shard_submitted_spread(control.stats());
-
-  // Deterministically: control = |(240 + 3*40) - 3*40| = 240; driven is at
-  // most |400 - 240| = 160. Depth-driven placement measurably narrowed it.
-  EXPECT_EQ(control_spread, kBacklog);
-  EXPECT_LT(driven_spread, control_spread)
-      << "driven=" << driven_spread << " control=" << control_spread
-      << " backlog=" << backlog;
-}
-
-TEST(ObsService, BrokenOrMissizedLoadProvidersFallBackToRoundRobin) {
-  CodecService service(isolated());
-  service.set_shard_load_provider(
-      []() -> std::vector<double> { throw std::runtime_error("broken"); });
-  EXPECT_EQ(service.acquire("rs(4,2)").shard(), 0u);  // round-robin, not a throw
-  service.set_shard_load_provider([] { return std::vector<double>{1.0}; });  // wrong size
-  EXPECT_EQ(service.acquire("rs(5,2)").shard(), 1u);
-  service.set_shard_load_provider({});  // detached
-  EXPECT_EQ(service.acquire("rs(7,2)").shard(), 0u);
 }
 
 // ---- monitor over real sockets ---------------------------------------------

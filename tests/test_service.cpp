@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <random>
 #include <string>
 #include <thread>
@@ -227,6 +228,121 @@ TEST(CodecService, StatsSnapshotsStayConsistentUnderLoad) {
   EXPECT_GT(s.uptime_s, 0.0);
 }
 
+TEST(CodecService, AwaitedJobsStayHomeAndABacklogSpillsToIdleShards) {
+  CodecService service(isolated(4, 1));
+  (void)service.acquire("rs(4,2)");  // homes on shard 0
+  const ServiceHandle h = service.acquire("rs(6,3)");
+  ASSERT_EQ(h.shard(), 1u);
+  const Codec& codec = h.codec();
+  const size_t k = codec.data_fragments(), m = codec.parity_fragments();
+  const size_t frag_len = size_t{1} << 20;  // ~ms per job: a backlog builds
+  constexpr size_t kJobs = 8;
+
+  std::mt19937 rng(31);
+  std::vector<std::vector<uint8_t>> data(k, std::vector<uint8_t>(frag_len));
+  std::vector<const uint8_t*> data_ptrs;
+  for (auto& d : data) {
+    for (auto& b : d) b = static_cast<uint8_t>(rng());
+    data_ptrs.push_back(d.data());
+  }
+  std::vector<std::vector<uint8_t>> want(m, std::vector<uint8_t>(frag_len));
+  std::vector<uint8_t*> want_ptrs;
+  for (auto& w : want) want_ptrs.push_back(w.data());
+  codec.encode(data_ptrs.data(), want_ptrs.data(), frag_len);
+
+  // One parity set per job: unawaited jobs of one pool run in parallel.
+  std::vector<std::vector<std::vector<uint8_t>>> parity(
+      kJobs, std::vector<std::vector<uint8_t>>(m, std::vector<uint8_t>(frag_len)));
+  std::vector<std::vector<uint8_t*>> parity_ptrs(kJobs);
+  for (size_t j = 0; j < kJobs; ++j)
+    for (auto& p : parity[j]) parity_ptrs[j].push_back(p.data());
+
+  // A closed-loop caller finds its home queue empty every time.
+  for (size_t j = 0; j < kJobs; ++j)
+    h.encode(data_ptrs.data(), parity_ptrs[j].data(), frag_len).get();
+  ServiceStats st = service.stats();
+  for (const ShardStats& s : st.shards)
+    EXPECT_EQ(s.submitted, s.shard == 1 ? kJobs : 0u) << "shard " << s.shard;
+
+  // A backlog of unawaited jobs spills from the busy home shard.
+  std::vector<std::future<void>> futs;
+  for (size_t j = 0; j < kJobs; ++j)
+    futs.push_back(h.encode(data_ptrs.data(), parity_ptrs[j].data(), frag_len));
+  for (auto& f : futs) f.get();
+  for (size_t j = 0; j < kJobs; ++j)
+    for (size_t i = 0; i < m; ++i) ASSERT_TRUE(parity[j][i] == want[i]) << "job " << j;
+
+  st = service.stats();
+  size_t shards_used = 0, shard_jobs = 0;
+  for (const ShardStats& s : st.shards) {
+    shards_used += s.submitted > (s.shard == 1 ? kJobs : 0u);
+    shard_jobs += s.submitted;
+  }
+  EXPECT_GT(shards_used, 1u);
+  EXPECT_EQ(shard_jobs, 2 * kJobs);
+  EXPECT_EQ(st.pools[1].encodes, 2 * kJobs);
+  // Spilling routes jobs, not pools: the pool keeps its home.
+  EXPECT_EQ(st.pools[1].shard, 1u);
+  EXPECT_EQ(st.shards[1].pools, 1u);
+}
+
+TEST(CodecService, EachCallerThreadKeepsToItsLastShardWhileItIsIdle) {
+  CodecService service(isolated(4, 1));
+  (void)service.acquire("rs(4,2)");  // homes on shard 0
+  const ServiceHandle h = service.acquire("rs(6,3)");
+  ASSERT_EQ(h.shard(), 1u);
+  const size_t k = h.codec().data_fragments(), m = h.codec().parity_fragments();
+  const size_t frag_len = size_t{1} << 20;  // ~ms per job: a backlog builds
+  constexpr size_t kJobs = 8;
+
+  std::vector<std::vector<uint8_t>> data(k, std::vector<uint8_t>(frag_len, 1));
+  std::vector<const uint8_t*> data_ptrs;
+  for (auto& d : data) data_ptrs.push_back(d.data());
+  std::vector<std::vector<std::vector<uint8_t>>> parity(
+      kJobs, std::vector<std::vector<uint8_t>>(m, std::vector<uint8_t>(frag_len)));
+  std::vector<std::vector<uint8_t*>> parity_ptrs(kJobs);
+  for (size_t j = 0; j < kJobs; ++j)
+    for (auto& p : parity[j]) parity_ptrs[j].push_back(p.data());
+
+  const auto submitted = [&] {
+    std::vector<size_t> out;
+    for (const ShardStats& s : service.stats().shards) out.push_back(s.submitted);
+    return out;
+  };
+  // Where the last job of a spilling backlog went (only this thread
+  // submits, so the one shard whose count grew is the one it went to).
+  // Retried until that is not home, which a backlog of ~ms jobs makes the
+  // common case.
+  size_t last = h.shard();
+  for (int attempt = 0; attempt < 50 && last == h.shard(); ++attempt) {
+    std::vector<std::future<void>> futs;
+    for (size_t j = 0; j + 1 < kJobs; ++j)
+      futs.push_back(h.encode(data_ptrs.data(), parity_ptrs[j].data(), frag_len));
+    const std::vector<size_t> before = submitted();
+    futs.push_back(h.encode(data_ptrs.data(), parity_ptrs[kJobs - 1].data(), frag_len));
+    const std::vector<size_t> after = submitted();
+    for (auto& f : futs) f.get();
+    for (size_t s = 0; s < after.size(); ++s)
+      if (after[s] != before[s]) last = s;
+  }
+  ASSERT_NE(last, h.shard()) << "no backlog ever spilled its last job";
+
+  // Every shard is idle now: this thread's awaited jobs keep to `last`...
+  const std::vector<size_t> before = submitted();
+  for (size_t j = 0; j < kJobs; ++j)
+    h.encode(data_ptrs.data(), parity_ptrs[j].data(), frag_len).get();
+  std::vector<size_t> after = submitted();
+  for (size_t s = 0; s < after.size(); ++s)
+    EXPECT_EQ(after[s] - before[s], s == last ? kJobs : 0u) << "shard " << s;
+
+  // ...while a thread with no job of this pool behind it starts at home.
+  std::thread([&] { h.encode(data_ptrs.data(), parity_ptrs[0].data(), frag_len).get(); })
+      .join();
+  const std::vector<size_t> fresh = submitted();
+  for (size_t s = 0; s < fresh.size(); ++s)
+    EXPECT_EQ(fresh[s] - after[s], s == h.shard() ? 1u : 0u) << "shard " << s;
+}
+
 // ---- warmup round-trip ------------------------------------------------------
 
 TEST(CodecService, WarmupRoundTripServesHotPatternsFromCache) {
@@ -347,9 +463,13 @@ TEST(CodecService, ObjectCodecRoutesThroughTheLeaseShard) {
   const auto dec = blobs.decode(enc.fragments);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(*dec, object);
-  // The blob jobs really went through the shard session.
+  // The blob jobs went through the handle: routed to a shard (one awaited
+  // caller stays home) and counted on the pool.
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.shards[handle.shard()].submitted, 0u);
+  ASSERT_EQ(stats.pools.size(), 1u);
+  EXPECT_EQ(stats.pools[0].encodes, 1u);
+  EXPECT_EQ(stats.pools[0].reconstructs, 1u);
 }
 
 TEST(CodecService, PoolStatsAccountRepairTraffic) {
