@@ -59,6 +59,7 @@ class Compressor {
     values_.resize(n);
     alias_.assign(n, Term::var(UINT32_MAX));
     alive_.assign(n, true);
+    traj_.resize(n);
     n_alive_ = 0;
     for (size_t i = 0; i < n; ++i) {
       defs_[i] = defs_by_var[flat.outputs[i]];
@@ -72,8 +73,17 @@ class Compressor {
         ++n_alive_;
       }
     }
-    for (size_t i = 0; i < n; ++i)
-      if (alive_[i]) add_all_pairs(defs_[i]);
+    // Count every pair first, then file each into its bucket once.
+    for (size_t i = 0; i < n; ++i) {
+      if (!alive_[i]) continue;
+      const Def& d = defs_[i];
+      for (size_t a = 0; a < d.size(); ++a)
+        for (size_t b = a + 1; b < d.size(); ++b) ++counts_[TermPair::make(d[a], d[b])];
+    }
+    for (const auto& [p, c] : counts_) {
+      file(p, c);
+      max_count_ = std::max<size_t>(max_count_, c);
+    }
   }
 
   Program run() {
@@ -87,22 +97,31 @@ class Compressor {
 
  private:
   // ---- pair bookkeeping -------------------------------------------------
-  void inc_pair(const TermPair& p) {
-    uint32_t& c = counts_[p];
-    if (c > 0) buckets_[c].erase(p);
-    ++c;
+  // Most pairs occur once, and a count-1 pair is chosen only when no pair
+  // occurs twice. So buckets_[1] is left empty until choose_pair first needs
+  // it, and maintained from then on; counts_ alone tracks singles before.
+  void file(const TermPair& p, uint32_t c) {
+    if (c == 1 && !singles_filed_) return;
     if (buckets_.size() <= c) buckets_.resize(c + 1);
     buckets_[c].insert(p);
+  }
+  void unfile(const TermPair& p, uint32_t c) {
+    if (c > 1 || singles_filed_) buckets_[c].erase(p);
+  }
+  void inc_pair(const TermPair& p) {
+    uint32_t& c = counts_[p];
+    if (c > 0) unfile(p, c);
+    file(p, ++c);
     max_count_ = std::max<size_t>(max_count_, c);
   }
   void dec_pair(const TermPair& p) {
     auto it = counts_.find(p);
     assert(it != counts_.end() && it->second > 0);
-    buckets_[it->second].erase(p);
+    unfile(p, it->second);
     if (--it->second == 0) {
       counts_.erase(it);
     } else {
-      buckets_[it->second].insert(p);
+      file(p, it->second);
     }
   }
   void add_all_pairs(const Def& d) {
@@ -115,8 +134,13 @@ class Compressor {
   }
 
   TermPair choose_pair() {
-    while (max_count_ > 0 && buckets_[max_count_].empty()) --max_count_;
+    while (max_count_ > 1 && buckets_[max_count_].empty()) --max_count_;
     assert(max_count_ > 0 && "alive defs always expose at least one pair");
+    if (max_count_ == 1 && !singles_filed_) {
+      singles_filed_ = true;
+      for (const auto& [p, c] : counts_)
+        if (c == 1) file(p, c);
+    }
     return *buckets_[max_count_].begin();  // ⊏-smallest among most frequent
   }
 
@@ -182,7 +206,16 @@ class Compressor {
     alive_[orig] = false;
     --n_alive_;
     defs_[orig].clear();
+    traj_[orig] = {};
   }
+
+  /// Rebuild's greedy run for one original, replayed incrementally.
+  struct Trajectory {
+    std::vector<uint32_t> picks;  // temporals XORed in, in pick order
+    std::vector<BitRow> rems;     // remainder before each pick, then the final one
+    std::vector<size_t> sizes;    // popcounts of rems
+    uint32_t scanned = 0;         // temporals [0, scanned) already considered
+  };
 
   void rebuild_all() {
     for (size_t i = 0; i < defs_.size(); ++i) {
@@ -191,36 +224,51 @@ class Compressor {
     }
   }
 
+  /// Rebuild(v) (§4.4): XOR temporal values into v's remainder greedily,
+  /// each step taking the temporal that shrinks it most (strict <, so ties
+  /// keep the earlier temporal), and rewrite v when that is shorter. The
+  /// trajectory is kept from the previous call and replayed against only the
+  /// temporals minted since: a newer temporal changes step j only by beating
+  /// step j's pick strictly, so the first step where one does is where the
+  /// greedy resumes; earlier steps stand as they are.
   void rebuild_one(size_t orig) {
-    BitRow rem = values_[orig];
-    std::vector<bool> in_s(temps_.size(), false);
-    std::vector<uint32_t> s;
-    size_t rem_size = rem.popcount();
-    for (;;) {
-      size_t best_size = rem_size;
+    Trajectory& tr = traj_[orig];
+    if (tr.rems.empty()) {
+      tr.rems.push_back(values_[orig]);
+      tr.sizes.push_back(values_[orig].popcount());
+    }
+    const uint32_t n_temps = static_cast<uint32_t>(temps_.size());
+    for (size_t j = 0; j < tr.rems.size() && tr.scanned < n_temps; ++j) {
+      // To beat: the size step j reached, or the final remainder's.
+      size_t best_size = tr.sizes[std::min(j + 1, tr.sizes.size() - 1)];
       uint32_t best = UINT32_MAX;
-      for (uint32_t t = 0; t < temps_.size(); ++t) {
-        if (in_s[t]) continue;
-        const size_t sz = rem.xor_popcount(temp_values_[t]);
-        if (sz < best_size) {  // strict: ties keep the earlier (≺-smaller) t
+      for (uint32_t t = tr.scanned; t < n_temps; ++t) {
+        const size_t sz = tr.rems[j].xor_popcount(temp_values_[t]);
+        if (sz < best_size) {
           best_size = sz;
           best = t;
         }
       }
-      if (best == UINT32_MAX) break;
-      rem ^= temp_values_[best];
-      rem_size = best_size;
-      in_s[best] = true;
-      s.push_back(best);
+      if (best == UINT32_MAX) continue;
+      tr.picks.resize(j);
+      tr.rems.resize(j + 1);
+      tr.sizes.resize(j + 1);
+      for (; best != UINT32_MAX; best = greedy_step(tr, best_size)) {
+        tr.picks.push_back(best);
+        tr.rems.push_back(tr.rems.back() ^ temp_values_[best]);
+        tr.sizes.push_back(best_size);
+      }
+      break;
     }
-    const size_t new_size = rem_size + s.size();
+    tr.scanned = n_temps;
+
+    const size_t new_size = tr.sizes.back() + tr.picks.size();
     if (new_size >= defs_[orig].size()) return;
 
     Def nd;
     nd.reserve(new_size);
-    std::sort(s.begin(), s.end());
-    for (uint32_t t : s) nd.push_back(Term::var(t));
-    for (uint32_t c : rem.ones()) nd.push_back(Term::constant(c));
+    for (uint32_t t : tr.picks) nd.push_back(Term::var(t));
+    for (uint32_t c : tr.rems.back().ones()) nd.push_back(Term::constant(c));
     std::sort(nd.begin(), nd.end());
 
     remove_all_pairs(defs_[orig]);
@@ -230,6 +278,23 @@ class Compressor {
     } else {
       add_all_pairs(defs_[orig]);
     }
+  }
+
+  /// The temporal that shrinks `tr`'s last remainder most among all not yet
+  /// picked (its size in `best_size`), or UINT32_MAX when none shrinks it.
+  uint32_t greedy_step(const Trajectory& tr, size_t& best_size) const {
+    const BitRow& rem = tr.rems.back();
+    best_size = tr.sizes.back();
+    uint32_t best = UINT32_MAX;
+    for (uint32_t t = 0; t < temps_.size(); ++t) {
+      const size_t sz = rem.xor_popcount(temp_values_[t]);
+      if (sz < best_size &&
+          std::find(tr.picks.begin(), tr.picks.end(), t) == tr.picks.end()) {
+        best_size = sz;
+        best = t;
+      }
+    }
+    return best;
   }
 
   // ---- final assembly -----------------------------------------------------
@@ -288,14 +353,17 @@ class Compressor {
   std::vector<bool> alive_;
   size_t n_alive_ = 0;
 
+  std::vector<Trajectory> traj_;  // Rebuild's runs by output index (XorRePair only)
+
   std::vector<Instruction> temps_;   // t_i <- lo ⊕ hi, ids in generation order
   std::vector<BitRow> temp_values_;
   std::unordered_map<TermPair, uint32_t, TermPairHash> temp_lookup_;
   std::vector<BitRow> const_values_;  // lazily built unit vectors
 
   std::unordered_map<TermPair, uint32_t, TermPairHash> counts_;
-  std::vector<std::set<TermPair>> buckets_;  // by count, ⊏-ordered inside
+  std::vector<std::set<TermPair>> buckets_;  // by count, ⊏-ordered inside (see file())
   size_t max_count_ = 0;
+  bool singles_filed_ = false;  // buckets_[1] is filled and maintained
 };
 
 }  // namespace

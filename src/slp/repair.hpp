@@ -16,6 +16,13 @@
 //    already present in a definition (both no-ops for plain matrix inputs);
 //  - Rebuild(v) (§4.4) greedily XORs temporal *values* into the remainder,
 //    never picking a temporal already in S (re-picking would silently cancel);
+//  - Rebuild is incremental yet exact: v's greedy run depends only on v's
+//    fixed value and the append-only temporal list, and a newer temporal can
+//    displace a step's pick only by being strictly better (ties keep the
+//    earlier one), so each call tests just the temporals minted since the
+//    last, resumes the greedy from the first step one wins, and returns what
+//    a full rescan would (tests/test_repair.cpp checks this against the
+//    full-rescan reference);
 //  - a final dead-code sweep drops temporals that ended up unreferenced
 //    (possible after Rebuild rewrites definitions).
 #pragma once

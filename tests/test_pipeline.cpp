@@ -69,6 +69,32 @@ TEST(Pipeline, AllStagesKeepDenotationOnPaperMatrix) {
   EXPECT_EQ(r.base.name, "rs93");
 }
 
+TEST(Pipeline, DefaultRs10_4CountsMatchThePaperFacingBaseline) {
+  // The slp.* numbers perfbench/baseline.json records for rs(10,4) under the
+  // default pipeline (XorRePair + fuse + DFS). Any drift in what the
+  // compressor, fuser or scheduler emits moves them.
+  const auto measured = [](const bitmatrix::BitMatrix& m) {
+    const PipelineResult r = optimize(m);
+    return measure(r.final_program(), r.final_form());
+  };
+  const auto enc =
+      measured(bitmatrix::expand(gf::rs_isal_matrix(10, 4).select_rows({10, 11, 12, 13})));
+  EXPECT_EQ(enc.xor_ops, 389u);
+  EXPECT_EQ(enc.mem_accesses, 693u);
+
+  // A plan's cost is the sum over its steps (data decode, parity re-encode).
+  size_t dec_xor = 0, dec_mem = 0;
+  for (const auto& erased : kDegradedReadPatterns)
+    for (const auto& m : rs10_4_repair_matrices(erased)) {
+      const auto s = measured(m);
+      dec_xor += s.xor_ops;
+      dec_mem += s.mem_accesses;
+    }
+  ASSERT_EQ(kDegradedReadPatterns.size(), 16u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(dec_xor) / 16, 292.0625);
+  EXPECT_DOUBLE_EQ(static_cast<double>(dec_mem) / 16, 514.8125);
+}
+
 TEST(IoCostHardwareScale, SchedulingHelpsAt512Blocks) {
   // §6.2: "cache size is 32KB and cache block size is 64B ... we optimize
   // IOcost(P, 512)". At 512-block capacity the whole working set of

@@ -1,8 +1,10 @@
 // RePair / XorRePair (§4.3-4.4): the paper's P0 walkthrough, semantic
-// preservation on random matrices, and the structural invariants of the
-// compressed output (binary temporals, no dead code).
+// preservation on random matrices, the structural invariants of the
+// compressed output (binary temporals, no dead code), and bit-exactness of
+// the incremental Rebuild against the full-rescan reference.
 #include <gtest/gtest.h>
 
+#include "conformance/codec_conformance.hpp"
 #include "slp/metrics.hpp"
 #include "slp/repair.hpp"
 #include "slp/semantics.hpp"
@@ -79,6 +81,31 @@ TEST_P(RepairProperty, RebuildNeverWorseThanPlainRePair) {
   const size_t plain = xor_ops(repair_compress(flat));
   const size_t with_rebuild = xor_ops(xor_repair_compress(flat));
   EXPECT_LE(with_rebuild, plain + plain / 10 + 1);
+}
+
+namespace {
+
+/// xor_repair_compress(flat) must equal the full-rescan reference field for
+/// field: the incremental Rebuild may only change how fast the program is
+/// found, never which program it is.
+void expect_matches_reference(const Program& flat) {
+  const Program got = xor_repair_compress(flat);
+  const Program want = reference_xor_repair_compress(flat);
+  EXPECT_EQ(got.num_consts, want.num_consts);
+  ASSERT_EQ(got.num_vars, want.num_vars);
+  ASSERT_EQ(got.body.size(), want.body.size());
+  for (size_t i = 0; i < got.body.size(); ++i) {
+    EXPECT_EQ(got.body[i].target, want.body[i].target) << "instruction " << i;
+    EXPECT_TRUE(got.body[i].args == want.body[i].args) << "instruction " << i;
+  }
+  EXPECT_EQ(got.outputs, want.outputs);
+}
+
+}  // namespace
+
+TEST_P(RepairProperty, XorRePairMatchesFullRescanReference) {
+  const auto [consts, rows, seed] = GetParam();
+  expect_matches_reference(random_flat(consts, rows, seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, RepairProperty,
@@ -169,3 +196,36 @@ TEST(RePair, RealCodingMatrixReductionRatioIsInPaperRegime) {
   EXPECT_LT(ratio, 0.60) << "xor ratio " << ratio;
   EXPECT_GT(ratio, 0.25) << "xor ratio " << ratio;
 }
+
+// ---- exactness on real coding matrices ---------------------------------------
+
+TEST(XorRePairExact, Rs10_4AndCauchy10_4EncodeMatchReference) {
+  for (const auto& code : {xorec::gf::rs_isal_matrix(10, 4), xorec::gf::rs_cauchy_matrix(10, 4)}) {
+    const auto parity = xorec::bitmatrix::expand(code.select_rows({10, 11, 12, 13}));
+    expect_matches_reference(from_bitmatrix(parity));
+  }
+}
+
+TEST(XorRePairExact, EveryBitmatrixFamilyEncodeMatchesReference) {
+  const auto& table = xorec::conformance::conformance_table();
+  size_t covered = 0;
+  for (const auto& [family, fc] : table) {
+    const auto codec = xorec::make_codec(fc.shapes.front().spec);
+    const PipelineResult* enc = codec->encode_pipeline();
+    if (!enc) continue;  // the GF-table baseline (isal) compiles no SLP
+    SCOPED_TRACE(fc.shapes.front().spec);
+    expect_matches_reference(enc->base);
+    ++covered;
+  }
+  EXPECT_EQ(covered + 1, table.size());
+}
+
+class XorRePairExactDecode : public ::testing::TestWithParam<std::vector<uint32_t>> {};
+
+TEST_P(XorRePairExactDecode, Rs10_4RepairProgramsMatchReference) {
+  for (const auto& m : rs10_4_repair_matrices(GetParam()))
+    expect_matches_reference(from_bitmatrix(m));
+}
+
+INSTANTIATE_TEST_SUITE_P(DegradedReadPatterns, XorRePairExactDecode,
+                         ::testing::ValuesIn(kDegradedReadPatterns));
