@@ -9,7 +9,6 @@
 #include "ec/rs_codec.hpp"
 #include "runtime/exec_program.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/jit_cache.hpp"
 #include "slp/pipeline.hpp"
 
 namespace xorec {
@@ -18,11 +17,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The shared calibration workload: the fully optimized RS(8,3) encode SLP
-/// over 8 x 256 KiB fragments (the working set dwarfs L2, so the blocking /
-/// backend choice is what the measurement sees). The compiled program is
-/// independent of both knobs, so it compiles ONCE per workload instance and
-/// the sweeps time cheap Executor rebuilds.
+/// The calibration workload: the fully optimized RS(8,3) encode SLP over
+/// 8 x 256 KiB fragments (the working set dwarfs L2, so the blocking choice
+/// is what the measurement sees). The compiled program is independent of
+/// the block size, so it compiles ONCE per workload instance and the sweep
+/// times cheap Executor rebuilds.
 struct CalibrationWorkload {
   runtime::ExecProgram prog;
   std::vector<std::vector<uint8_t>> data_bufs, parity_bufs;
@@ -97,42 +96,10 @@ size_t measure_auto_block() {
   return best;
 }
 
-runtime::ExecBackend measure_auto_exec() {
-  const CalibrationWorkload w;
-  auto time_backend = [&](runtime::ExecBackend b, runtime::ExecBackend& actual) {
-    runtime::ExecOptions eo;
-    eo.backend = b;
-    const runtime::Executor exec(w.prog, eo);
-    actual = exec.backend();  // jit may have degraded to lowered
-    return w.time_executor(exec);
-  };
-
-  runtime::ExecBackend actual;
-  runtime::ExecBackend best = runtime::ExecBackend::Lowered;
-  double best_time = time_backend(runtime::ExecBackend::Lowered, actual);
-  // Challengers must beat the incumbent lowered backend by 5%; jit only
-  // counts when the executor really ran the artifact (no silent fallback).
-  if (runtime::JitCache::available()) {
-    const double t = time_backend(runtime::ExecBackend::Jit, actual);
-    if (actual == runtime::ExecBackend::Jit && t < best_time * 0.95) {
-      best_time = t;
-      best = runtime::ExecBackend::Jit;
-    }
-  }
-  const double t = time_backend(runtime::ExecBackend::Interp, actual);
-  if (t < best_time * 0.95) best = runtime::ExecBackend::Interp;
-  return best;
-}
-
 }  // namespace
 
 size_t auto_block_size() {
   static const size_t measured = measure_auto_block();
-  return measured;
-}
-
-runtime::ExecBackend auto_exec_backend() {
-  static const runtime::ExecBackend measured = measure_auto_exec();
   return measured;
 }
 

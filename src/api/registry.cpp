@@ -113,14 +113,8 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     if (auto isa = kernel::parse_isa(value.c_str())) opt.exec.isa = *isa;
     else fail(cs.spec, "isa must be scalar|word64|avx2|avx512|neon|auto, got \"" + value + "\"");
   } else if (key == "exec") {
-    // An explicit exec=auto asks for the measured backend race; resolution
-    // happens in make_codec / canonical_spec so parsing stays cheap.
-    if (auto b = runtime::parse_exec_backend(value.c_str())) {
-      opt.exec.backend = *b;
-      cs.exec_auto = *b == runtime::ExecBackend::Auto;
-    } else {
-      fail(cs.spec, "exec must be interp|lowered|jit|auto, got \"" + value + "\"");
-    }
+    if (auto b = runtime::parse_exec_backend(value.c_str())) opt.exec.backend = *b;
+    else fail(cs.spec, "exec must be interp|lowered|auto, got \"" + value + "\"");
   } else if (key == "passes") {
     // Preset -> pipeline mapping; rs_codec.cpp rs_name() is its inverse —
     // keep the two in sync.
@@ -398,16 +392,10 @@ std::unique_ptr<Codec> make_codec(const CodecSpec& spec) {
       spec.option_keys.end())
     fail(spec.spec, "warmup= names a service profile, not a codec option; acquire "
                     "through xorec::CodecService instead");
-  if (spec.block_auto || spec.exec_auto) {
+  if (spec.block_auto) {
     CodecSpec resolved = spec;
-    if (resolved.block_auto) {
-      resolved.options.exec.block_size = auto_block_size();
-      resolved.block_auto = false;
-    }
-    if (resolved.exec_auto) {
-      resolved.options.exec.backend = auto_exec_backend();
-      resolved.exec_auto = false;
-    }
+    resolved.options.exec.block_size = auto_block_size();
+    resolved.block_auto = false;
     return make_codec(resolved);
   }
   CodecBuilder builder;
@@ -435,10 +423,6 @@ std::string canonical_spec(const CodecSpec& given) {
   if (cs.block_auto) {
     cs.options.exec.block_size = auto_block_size();
     cs.block_auto = false;
-  }
-  if (cs.exec_auto) {
-    cs.options.exec.backend = auto_exec_backend();
-    cs.exec_auto = false;
   }
   const ec::CodecOptions def;  // the defaults every canonical token is measured against
   const auto& o = cs.options;
@@ -524,13 +508,9 @@ std::string canonical_spec(const CodecSpec& given) {
     opts.push_back("threads=" + std::to_string(o.exec.threads));
   if (o.exec.isa != def.exec.isa)
     opts.push_back(std::string("isa=") + kernel::isa_name(o.exec.isa));
-  if (o.exec.backend != def.exec.backend &&
-      // Auto resolves to Lowered: the two produce identical executors (and
-      // share plan-cache entries), so only the backends that differ from
-      // that resolution — interp and jit — earn a token.
-      (o.exec.backend == runtime::ExecBackend::Interp ||
-       o.exec.backend == runtime::ExecBackend::Jit))
-    opts.push_back(std::string("exec=") + runtime::exec_backend_name(o.exec.backend));
+  // Auto resolves to Lowered: the two produce identical executors (and
+  // share plan-cache entries), so only interp earns a token.
+  if (o.exec.backend == runtime::ExecBackend::Interp) opts.push_back("exec=interp");
   if (!passes_tok.empty()) opts.push_back(passes_tok);
   if (!sched_tok.empty()) opts.push_back(sched_tok);
   if (pl.greedy_capacity != 0 && sched_takes_cap)

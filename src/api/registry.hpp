@@ -15,15 +15,12 @@
 //                    resolves to a one-shot measured sweep of this machine
 //                    (api/autotune.hpp, memoized per process)
 //     threads=N      worker threads                          (default 1)
-//     isa=K          scalar | word64 | avx2 | auto           (default auto)
-//     exec=K         interp | lowered | jit | auto — execution backend
-//                    (default auto). lowered runs pre-resolved kernel calls;
-//                    jit compiles the plan to native code through the host
-//                    compiler + cross-process artifact cache
-//                    (runtime/jit_cache.hpp), falling back to lowered when
-//                    no compiler is available; an explicit exec=auto resolves
-//                    to a one-shot measured interp/lowered/jit race on this
-//                    machine (api/autotune.hpp, memoized per process)
+//     isa=K          scalar | word64 | avx2 | avx512 | neon | auto
+//                    (default auto; a kernel the host lacks degrades to the
+//                    best one it has)
+//     exec=K         interp | lowered | auto — execution backend (default
+//                    auto = lowered). lowered runs pre-resolved kernel calls;
+//                    interp walks the program per block (the reference)
 //     passes=K       base | compress | fuse | full — optimizer preset
 //     sched=K        none | dfs | greedy | multilevel — scheduling pass
 //     cap=N          abstract-cache capacity override in blocks (>= 2);
@@ -88,10 +85,6 @@ struct CodecSpec {
   /// block=auto given: make_codec / canonical_spec resolve it through the
   /// measured auto_block_size() sweep (api/autotune.hpp).
   bool block_auto = false;
-  /// exec=auto given explicitly: make_codec / canonical_spec resolve it
-  /// through the measured auto_exec_backend() race (api/autotune.hpp). A
-  /// spec with no exec= key keeps the cheap static Auto -> Lowered default.
-  bool exec_auto = false;
   /// warmup= value: the plan-profile path CodecService::acquire replays.
   std::string warmup_path;
 
@@ -111,8 +104,7 @@ CodecSpec parse_spec(const std::string& spec);
 /// key order is fixed, options equal to their defaults are dropped,
 /// default-able positional args are filled in ("rs(10)" -> "rs(10,4)"),
 /// matrix= folds into the RS family name ("rs(9,3)@matrix=cauchy" ->
-/// "cauchy(9,3)"), block=auto resolves to the measured byte count, an
-/// explicit exec=auto resolves to the measured backend race, and the
+/// "cauchy(9,3)"), block=auto resolves to the measured byte count, and the
 /// session/service keys batch=/warmup= are stripped (they configure a
 /// session or service, not the codec). Idempotent; round-trips through
 /// parse_spec. Throws std::invalid_argument on malformed input.

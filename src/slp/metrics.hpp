@@ -3,7 +3,7 @@
 // Accounting follows the paper's conventions:
 //  - xor_ops(P)   = Σ (arity − 1): real XOR operations.
 //  - instructions = |body| (for fused SLP®⊕ the paper's #⊕ column counts
-//    fused instructions; see EXPERIMENTS.md).
+//    fused instructions, not xor_ops).
 //  - mem_accesses(P, form):
 //      Binary form (Base / (Xor)RePair output, executed as binary chains):
 //        3 per XOR — load, load, store (§5).

@@ -7,7 +7,7 @@
 // variable has been compressed down to an alias of a temporal (or of a
 // constant, which materializes as a unary copy).
 //
-// Faithfulness notes (see EXPERIMENTS.md):
+// Faithfulness notes:
 //  - pair choice: most frequent pair across the live original definitions,
 //    ties broken by the lexicographic ⊏ over ≺ (temporals-by-generation
 //    before constants-by-index), exactly as §4.3;

@@ -183,6 +183,8 @@ TEST(PlanCacheIo, InapplicableRecordsAreSkippedNotFatal) {
           "pattern 1 | 0 2\n"
           "codec rs(6,3)@frob=1 fp 1 2 3\n"     // unknown option: skipped
           "pattern 1 | 0 2\n"
+          "codec rs(6,3)@exec=jit fp 1 2 3\n"   // removed backend: skipped
+          "pattern 1 | 0 2\n"
           "codec rs(6,3) fp 1 2 3\n"
           "pattern 42 | 0 1\n"                  // id beyond geometry: skipped
           "pattern 0 | 1 2 3 4 5 6\n"           // replayable
@@ -191,7 +193,7 @@ TEST(PlanCacheIo, InapplicableRecordsAreSkippedNotFatal) {
   CodecService::WarmupReport report;
   ASSERT_NO_THROW(report = service.warmup(path));
   EXPECT_EQ(report.codecs, 1u);       // only the real rs(6,3) pool
-  EXPECT_GE(report.skipped, 3u);      // two drifted entries + the bad id
+  EXPECT_EQ(report.skipped, 4u);      // three drifted entries + the bad id
   EXPECT_GE(report.patterns, 2u);
   EXPECT_GT(report.compiled, 0u);
 

@@ -3,7 +3,6 @@
 // count and stagger setting; plus arena layout checks.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <random>
 #include <thread>
 
@@ -175,19 +174,7 @@ TEST(StripArena, StripsDoNotOverlap) {
 
 // ---- lowered backend -------------------------------------------------------
 
-/// The LoweredProgram tests assert backend-resolution internals (which
-/// backend an ExecOptions request lands on, lowered-program op mixes). A
-/// process-wide XOREC_FORCE_EXEC override — the CI exec=jit leg — clamps
-/// every Executor to another backend and would fail them for the wrong
-/// reason, so neutralize the override for the test's scope and restore it.
-struct NeutralizeExecForce {
-  std::optional<runtime::ExecBackend> saved = runtime::forced_exec_backend();
-  NeutralizeExecForce() { runtime::set_forced_exec_backend_for_testing(std::nullopt); }
-  ~NeutralizeExecForce() { runtime::set_forced_exec_backend_for_testing(saved); }
-};
-
 TEST(LoweredProgram, ResolvesBackendAndIsa) {
-  NeutralizeExecForce neutral;
   runtime::Executor auto_exec(runtime::compile(make_peg()), {});
   EXPECT_EQ(auto_exec.backend(), runtime::ExecBackend::Lowered);
   EXPECT_NE(auto_exec.lowered(), nullptr);
@@ -203,7 +190,6 @@ TEST(LoweredProgram, FixedArityBindingAndOracle) {
   // A fused program's instructions all land on fixed-arity or accumulate
   // kernels (arity <= 8 after fusion of a small code) — the variadic
   // fallback should be the exception, not the rule.
-  NeutralizeExecForce neutral;
   const slp::Program base = random_flat(24, 8, 42);
   const slp::Program fu = slp::fuse(slp::xor_repair_compress(base));
   runtime::Executor exec(runtime::compile(fu), {.block_size = 512});
@@ -217,14 +203,12 @@ TEST(LoweredProgram, FixedArityBindingAndOracle) {
 TEST(LoweredProgram, InPlacePebbleAccumulatesViaFusedKernels) {
   // P_reg updates registers in place (dst appears in its own sources); the
   // lowering must fold those into accumulate kernels and stay correct.
-  NeutralizeExecForce neutral;
   runtime::Executor exec(runtime::compile(make_preg()), {.block_size = 256});
   ASSERT_NE(exec.lowered(), nullptr);
   run_and_check(make_preg(), {.block_size = 256}, 4096, 12);
 }
 
 TEST(LoweredProgram, NtThresholdGatesStreamingStores) {
-  NeutralizeExecForce neutral;
   const slp::Program base = random_flat(24, 8, 77);
   const auto prog = runtime::compile(slp::fuse(slp::xor_repair_compress(base)));
 
