@@ -1,9 +1,9 @@
 // A2 — kernel ablation: the n-ary single-pass XOR kernels by ISA flavor
 // (scalar xor1 / word64 / AVX2 xor32 / AVX-512 xor64 / NEON xor16) and
 // arity, on L1-resident blocks. Shows the #M = k+1 single-pass advantage
-// and SIMD speedup that motivate §5 and §7.2, plus the lowered-backend
-// kernel forms: fixed-arity specializations vs the variadic dispatcher,
-// fused accumulate (dst ^= srcs), and streaming stores on LLC-sized blocks.
+// and SIMD speedup that motivate §5 and §7.2. Each ISA's one entry point
+// (kernel_table(isa).many) unrolls k <= 8 and loops beyond, so the arity
+// sweep covers both of its paths.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -53,33 +53,6 @@ void bench_xor_chain(benchmark::State& state, kernel::Isa isa, size_t arity, siz
                           static_cast<int64_t>((arity + 1) * len));
 }
 
-/// The lowered backend's call forms, straight off the KernelTable:
-/// fixed[k] (arity baked into the symbol), accum[k] (dst ^= srcs, one
-/// fewer source stream than the equivalent fixed[k+1]), and many_nt
-/// (streaming stores — only sensible on blocks past the cache).
-enum class Form { Fixed, Accum, ManyNt };
-
-void bench_table_form(benchmark::State& state, kernel::Isa isa, Form form, size_t arity,
-                      size_t len) {
-  const kernel::KernelTable& kt = kernel::kernel_table(isa);
-  std::mt19937_64 rng(3);
-  std::vector<std::vector<uint8_t>> bufs(arity + 1, std::vector<uint8_t>(len));
-  for (auto& b : bufs)
-    for (auto& x : b) x = static_cast<uint8_t>(rng());
-  std::vector<const uint8_t*> srcs;
-  for (size_t j = 1; j <= arity; ++j) srcs.push_back(bufs[j].data());
-  for (auto _ : state) {
-    switch (form) {
-      case Form::Fixed: kt.fixed[arity](bufs[0].data(), srcs.data(), len); break;
-      case Form::Accum: kt.accum[arity](bufs[0].data(), srcs.data(), len); break;
-      case Form::ManyNt: kt.many_nt(bufs[0].data(), srcs.data(), arity, len); break;
-    }
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>((arity + 1) * len));
-}
-
 /// ISAs worth benching on THIS host (kernel_table degrades unsupported
 /// requests, so registering them would silently re-measure the fallback).
 std::vector<kernel::Isa> host_isas() {
@@ -97,7 +70,7 @@ int main(int argc, char** argv) {
 
   const size_t len = 4096;
   for (kernel::Isa isa : host_isas()) {
-    for (size_t arity : {2u, 3u, 4u, 8u, 16u}) {
+    for (size_t arity : {2u, 3u, 4u, 8u, 9u, 16u}) {
       const std::string name =
           std::string("xor_many/") + kernel::isa_name(isa) + "/k" + std::to_string(arity);
       benchmark::RegisterBenchmark(
@@ -115,44 +88,6 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         fused_name.c_str(),
         [arity, len](benchmark::State& s) { bench_xor_many(s, kernel::Isa::Avx2, arity, len); });
-  }
-
-  // Lowered-backend call forms: fixed-arity and accumulate specializations
-  // against the variadic dispatcher above, on the same L1-resident blocks.
-  for (kernel::Isa isa : host_isas()) {
-    const char* iname = kernel::isa_name(isa);
-    for (size_t arity : {2u, 4u, 8u}) {
-      benchmark::RegisterBenchmark(
-          (std::string("xor_fixed/") + iname + "/k" + std::to_string(arity)).c_str(),
-          [isa, arity, len](benchmark::State& s) {
-            bench_table_form(s, isa, Form::Fixed, arity, len);
-          });
-      benchmark::RegisterBenchmark(
-          (std::string("xor_accum/") + iname + "/k" + std::to_string(arity)).c_str(),
-          [isa, arity, len](benchmark::State& s) {
-            bench_table_form(s, isa, Form::Accum, arity, len);
-          });
-    }
-  }
-
-  // Streaming stores only pay off once the destination stops fitting in
-  // cache: regular vs non-temporal many at 4 KB (L1) and 8 MB (past LLC).
-  for (kernel::Isa isa : host_isas()) {
-    if (kernel::kernel_table(isa).many_nt == kernel::kernel_table(isa).many)
-      continue;  // no dedicated NT kernel for this family
-    const char* iname = kernel::isa_name(isa);
-    for (size_t nt_len : {4096u, 8u << 20}) {
-      const std::string suffix =
-          std::string(iname) + "/k4/len" + std::to_string(nt_len);
-      benchmark::RegisterBenchmark(("xor_nt/regular/" + suffix).c_str(),
-                                   [isa, nt_len](benchmark::State& s) {
-                                     bench_xor_many(s, isa, 4, nt_len);
-                                   });
-      benchmark::RegisterBenchmark(("xor_nt/stream/" + suffix).c_str(),
-                                   [isa, nt_len](benchmark::State& s) {
-                                     bench_table_form(s, isa, Form::ManyNt, 4, nt_len);
-                                   });
-    }
   }
 
   benchmark::RunSpecifiedBenchmarks();

@@ -135,10 +135,6 @@ int main(int argc, char** argv) {
       {"fused", ",passes=fuse"},
       {"scheduled", ""},
       {"multilevel", ",sched=multilevel"},
-      // The execution-backend axis on the fully scheduled program:
-      // "scheduled" runs exec=auto (lowered straight-line kernels); this row
-      // pins the interpreting executor on the SAME compiled plan.
-      {"interp", ",exec=interp"},
   };
   for (const Stage& s : stages) {
     auto codec = lease(s.extra).codec_ptr();

@@ -95,10 +95,11 @@ struct PlanReadSet {
   size_t strips = 0;
 };
 
-/// The execution backend a codec's compiled programs actually run on, after
-/// exec=auto resolution, host-capability degrade and the XOREC_FORCE_ISA
-/// override — e.g. {"lowered", "avx512"}. Empty strings for codecs without
-/// a blocked executor (the GF-table baseline, custom codecs).
+/// What a codec's compiled programs run on: `backend` is the constant
+/// "lowered" (there is one executor; the name keeps reports and metric
+/// labels stable) and `isa` the kernel after host-capability degrade and the
+/// XOREC_FORCE_ISA override — e.g. {"lowered", "avx512"}. Empty strings for
+/// codecs without a blocked executor (the GF-table baseline, custom codecs).
 struct ExecInfo {
   std::string backend;
   std::string isa;
@@ -223,7 +224,7 @@ class Codec {
   /// materialization). Default: none.
   virtual size_t cached_program_count() const { return 0; }
 
-  /// The resolved execution backend + ISA this codec runs (ServiceStats
+  /// The executor name + resolved ISA this codec runs (ServiceStats
   /// surfaces it per pool). Default: no executor.
   virtual ExecInfo exec_info() const { return {}; }
 

@@ -113,8 +113,10 @@ void apply_option(CodecSpec& cs, const std::string& key, const std::string& valu
     if (auto isa = kernel::parse_isa(value.c_str())) opt.exec.isa = *isa;
     else fail(cs.spec, "isa must be scalar|word64|avx2|avx512|neon|auto, got \"" + value + "\"");
   } else if (key == "exec") {
-    if (auto b = runtime::parse_exec_backend(value.c_str())) opt.exec.backend = *b;
-    else fail(cs.spec, "exec must be interp|lowered|auto, got \"" + value + "\"");
+    // Accepted for compatibility (older specs, wire clients and saved warmup
+    // profiles carry it): every value names the one executor.
+    if (value != "interp" && value != "lowered" && value != "auto")
+      fail(cs.spec, "exec must be interp|lowered|auto, got \"" + value + "\"");
   } else if (key == "passes") {
     // Preset -> pipeline mapping; rs_codec.cpp rs_name() is its inverse —
     // keep the two in sync.
@@ -508,9 +510,6 @@ std::string canonical_spec(const CodecSpec& given) {
     opts.push_back("threads=" + std::to_string(o.exec.threads));
   if (o.exec.isa != def.exec.isa)
     opts.push_back(std::string("isa=") + kernel::isa_name(o.exec.isa));
-  // Auto resolves to Lowered: the two produce identical executors (and
-  // share plan-cache entries), so only interp earns a token.
-  if (o.exec.backend == runtime::ExecBackend::Interp) opts.push_back("exec=interp");
   if (!passes_tok.empty()) opts.push_back(passes_tok);
   if (!sched_tok.empty()) opts.push_back(sched_tok);
   if (pl.greedy_capacity != 0 && sched_takes_cap)

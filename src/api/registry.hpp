@@ -18,9 +18,9 @@
 //     isa=K          scalar | word64 | avx2 | avx512 | neon | auto
 //                    (default auto; a kernel the host lacks degrades to the
 //                    best one it has)
-//     exec=K         interp | lowered | auto — execution backend (default
-//                    auto = lowered). lowered runs pre-resolved kernel calls;
-//                    interp walks the program per block (the reference)
+//     exec=K         interp | lowered | auto — accepted for compatibility;
+//                    every value names the one executor and canonical_spec
+//                    drops the token
 //     passes=K       base | compress | fuse | full — optimizer preset
 //     sched=K        none | dfs | greedy | multilevel — scheduling pass
 //     cap=N          abstract-cache capacity override in blocks (>= 2);

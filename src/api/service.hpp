@@ -103,8 +103,8 @@ struct PoolStats {
   size_t net_requests = 0;
   uint64_t net_bytes_in = 0;
   uint64_t net_bytes_out = 0;
-  /// The execution backend/ISA this pool's codec resolved to (Codec::
-  /// exec_info) — e.g. "lowered"/"avx512". Empty for non-SLP codecs.
+  /// Codec::exec_info of this pool's codec — "lowered" and the resolved
+  /// ISA, e.g. "avx512". Empty for non-SLP codecs.
   std::string exec_backend;
   std::string exec_isa;
 };

@@ -97,13 +97,9 @@ class BitmatrixCodecCore {
   PlanFootprint footprint() const {
     return {matrix_fp_, matrix_fp2_, config_fp_, cache_->patterns_for(matrix_fp_, config_fp_)};
   }
-  /// The resolved backend/ISA this codec's executors run
-  /// (xorec::Codec::exec_info) — read off the encoder, which every program
-  /// of this codec shares options with.
-  ExecInfo exec_info() const {
-    return {runtime::exec_backend_name(enc_->exec.backend()),
-            kernel::isa_name(enc_->exec.isa())};
-  }
+  /// The ISA this codec's executors run (xorec::Codec::exec_info) — read
+  /// off the encoder, which every program of this codec shares options with.
+  ExecInfo exec_info() const { return {"lowered", kernel::isa_name(enc_->exec.isa())}; }
 
   /// Canonical cache keys: {erased ++ SEP ++ inputs} for decoders,
   /// {parity_ids ++ SEP ++ SEP} for parity re-encode subsets. (The encoder

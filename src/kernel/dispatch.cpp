@@ -1,8 +1,8 @@
 // Runtime ISA dispatch. CPU feature probes are memoized in function-local
 // statics (__builtin_cpu_supports used to run on every resolve() call), the
 // XOREC_FORCE_ISA environment override is parsed once, and every resolution
-// funnels through kernel_table() so interpreter and lowered backend agree on
-// which kernel family executes.
+// funnels through kernel_table() so the executor and one-shot xor_many
+// callers agree on which kernel runs.
 #include <cstdlib>
 #include <cstring>
 #include <mutex>

@@ -1,8 +1,7 @@
 // AVX2 kernels — compiled with -mavx2 in this TU only; selected at runtime
 // by dispatch.cpp. The 2x-unrolled main loop moves 64 bytes per iteration
-// per stream, matching the paper's xor32 (mm256_xor) inner loop. The table
-// adds fixed-arity specializations, fused accumulate (dst ^= ...) forms, and
-// a non-temporal-store variadic kernel for blocks past cache size.
+// per stream, matching the paper's xor32 (mm256_xor) inner loop; arities up
+// to 8 run a fully unrolled instance of it.
 #include "kernel/xor_kernel.hpp"
 
 #if defined(XOREC_HAVE_AVX2)
@@ -15,21 +14,15 @@ namespace xorec::kernel {
 
 namespace {
 
-/// 64 bytes per iteration: 2 ymm accumulators. `Accum` folds dst in as an
-/// implicit extra source (read exactly once).
-template <size_t K, bool Accum>
+/// 64 bytes per iteration: 2 ymm accumulators, fully unrolled over exactly
+/// K sources.
+template <size_t K>
 void avx2_loop(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
   size_t i = 0;
   for (; i + 64 <= len; i += 64) {
-    __m256i a0, a1;
-    if constexpr (Accum) {
-      a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-      a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i + 32));
-    } else {
-      a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i));
-      a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i + 32));
-    }
-    for (size_t j = Accum ? 0 : 1; j < K; ++j) {
+    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i));
+    __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i + 32));
+    for (size_t j = 1; j < K; ++j) {
       a0 = _mm256_xor_si256(a0, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i)));
       a1 = _mm256_xor_si256(a1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i + 32)));
     }
@@ -37,40 +30,16 @@ void avx2_loop(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), a1);
   }
   for (; i + 32 <= len; i += 32) {
-    __m256i a;
-    if constexpr (Accum)
-      a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    else
-      a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i));
-    for (size_t j = Accum ? 0 : 1; j < K; ++j)
+    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i));
+    for (size_t j = 1; j < K; ++j)
       a = _mm256_xor_si256(a, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a);
   }
   for (; i < len; ++i) {
-    uint8_t acc;
-    if constexpr (Accum) {
-      acc = dst[i];
-      for (size_t j = 0; j < K; ++j) acc ^= srcs[j][i];
-    } else {
-      acc = srcs[0][i];
-      for (size_t j = 1; j < K; ++j) acc ^= srcs[j][i];
-    }
+    uint8_t acc = srcs[0][i];
+    for (size_t j = 1; j < K; ++j) acc ^= srcs[j][i];
     dst[i] = acc;
   }
-}
-
-template <size_t K>
-void xor_fixed_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
-  if constexpr (K == 1) {
-    if (dst != srcs[0]) std::memmove(dst, srcs[0], len);
-    return;
-  }
-  avx2_loop<K, false>(dst, srcs, len);
-}
-
-template <size_t K>
-void xor_accum_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
-  avx2_loop<K, true>(dst, srcs, len);
 }
 
 void xor_generic_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
@@ -96,32 +65,6 @@ void xor_generic_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t
   }
 }
 
-/// Non-temporal variadic kernel: stores bypass the cache (the lowered
-/// backend uses it for huge-block final writes that are never re-read).
-/// _mm256_stream_si256 requires a 32-byte-aligned destination, so the head
-/// runs unaligned until dst reaches alignment, then the body streams.
-/// Contract narrowing: dst must NOT alias any source.
-void xor_many_nt_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
-  const size_t mis = reinterpret_cast<uintptr_t>(dst) & 31u;
-  const size_t head = mis ? (32 - mis < len ? 32 - mis : len) : 0;
-  if (head) xor_many_avx2(dst, srcs, k, head);
-  size_t i = head;
-  for (; i + 32 <= len; i += 32) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[0] + i));
-    for (size_t j = 1; j < k; ++j)
-      a = _mm256_xor_si256(a, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i)));
-    _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i), a);
-  }
-  if (i < len) {
-    for (size_t b = i; b < len; ++b) {
-      uint8_t acc = srcs[0][b];
-      for (size_t j = 1; j < k; ++j) acc ^= srcs[j][b];
-      dst[b] = acc;
-    }
-  }
-  _mm_sfence();  // streaming stores are weakly ordered; publish before return
-}
-
 }  // namespace
 
 void xor_many_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len) {
@@ -129,41 +72,19 @@ void xor_many_avx2(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t le
     case 1:
       if (dst != srcs[0]) std::memmove(dst, srcs[0], len);
       return;
-    case 2: xor_fixed_avx2<2>(dst, srcs, len); return;
-    case 3: xor_fixed_avx2<3>(dst, srcs, len); return;
-    case 4: xor_fixed_avx2<4>(dst, srcs, len); return;
-    case 5: xor_fixed_avx2<5>(dst, srcs, len); return;
-    case 6: xor_fixed_avx2<6>(dst, srcs, len); return;
-    case 7: xor_fixed_avx2<7>(dst, srcs, len); return;
-    case 8: xor_fixed_avx2<8>(dst, srcs, len); return;
+    case 2: avx2_loop<2>(dst, srcs, len); return;
+    case 3: avx2_loop<3>(dst, srcs, len); return;
+    case 4: avx2_loop<4>(dst, srcs, len); return;
+    case 5: avx2_loop<5>(dst, srcs, len); return;
+    case 6: avx2_loop<6>(dst, srcs, len); return;
+    case 7: avx2_loop<7>(dst, srcs, len); return;
+    case 8: avx2_loop<8>(dst, srcs, len); return;
     default: xor_generic_avx2(dst, srcs, k, len); return;
   }
 }
 
 const KernelTable& avx2_table() {
-  static const KernelTable t = [] {
-    KernelTable k;
-    k.isa = Isa::Avx2;
-    k.many = &xor_many_avx2;
-    k.many_nt = &xor_many_nt_avx2;
-    k.fixed[1] = &xor_fixed_avx2<1>;
-    k.fixed[2] = &xor_fixed_avx2<2>;
-    k.fixed[3] = &xor_fixed_avx2<3>;
-    k.fixed[4] = &xor_fixed_avx2<4>;
-    k.fixed[5] = &xor_fixed_avx2<5>;
-    k.fixed[6] = &xor_fixed_avx2<6>;
-    k.fixed[7] = &xor_fixed_avx2<7>;
-    k.fixed[8] = &xor_fixed_avx2<8>;
-    k.accum[1] = &xor_accum_avx2<1>;
-    k.accum[2] = &xor_accum_avx2<2>;
-    k.accum[3] = &xor_accum_avx2<3>;
-    k.accum[4] = &xor_accum_avx2<4>;
-    k.accum[5] = &xor_accum_avx2<5>;
-    k.accum[6] = &xor_accum_avx2<6>;
-    k.accum[7] = &xor_accum_avx2<7>;
-    k.accum[8] = &xor_accum_avx2<8>;
-    return k;
-  }();
+  static const KernelTable t{Isa::Avx2, &xor_many_avx2};
   return t;
 }
 

@@ -9,13 +9,10 @@
 //   overlap is undefined behaviour;
 // - arbitrary len and alignment.
 //
-// Beyond the variadic entry point, every ISA exposes a KernelTable of
-// fixed-arity specializations (the arity is baked into the function, so the
-// inner loop has no source-count branch), fused accumulate forms
-// (dst ^= srcs[0] ^ ... — dst is an implicit extra source, read once), and
-// a non-temporal-store variant for blocks too large to want cache residency.
-// The lowered execution backend (runtime/lowered_program.hpp) pre-resolves
-// these per instruction; the interpreter keeps using xor_many.
+// Each ISA has one entry point of this shape. It switches on k to a fully
+// unrolled loop for k <= 8 and runs a generic source loop beyond, so callers
+// never pick a call form: the executor binds every instruction to
+// kernel_table(isa).many.
 #pragma once
 
 #include <cstddef>
@@ -34,31 +31,14 @@ enum class Isa : uint8_t {
 };
 
 using XorManyFn = void (*)(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t len);
-/// Fixed-arity form: the source count is baked into the function pointer —
-/// `srcs` holds exactly that many streams and the inner loop is fully
-/// unrolled over them.
-using XorFixedFn = void (*)(uint8_t* dst, const uint8_t* const* srcs, size_t len);
 
-/// Largest arity with dedicated fixed/accumulate specializations; wider
-/// instructions fall back to the variadic kernel.
-inline constexpr size_t kMaxFixedArity = 8;
-
-/// One ISA's full kernel family. `fixed[j]` computes dst = srcs[0]^..^srcs[j-1]
-/// (fixed[1] is a copy); `accum[j]` computes dst ^= srcs[0]^..^srcs[j-1]
-/// (dst is read once as an implicit extra source — the fused in-place form).
-/// Index 0 of both arrays is null (an instruction always has sources).
-/// `many_nt` is the variadic kernel with non-temporal stores: same contract
-/// as `many` EXCEPT dst must not alias any source (the store bypasses the
-/// cache, so it only pays off for destinations that are never re-read).
+/// One ISA's kernel: `many` is its xor_many implementation.
 struct KernelTable {
   Isa isa = Isa::Scalar;  // the ISA actually implemented (post-degrade)
   XorManyFn many = nullptr;
-  XorManyFn many_nt = nullptr;
-  XorFixedFn fixed[kMaxFixedArity + 1] = {};
-  XorFixedFn accum[kMaxFixedArity + 1] = {};
 };
 
-/// Kernel family for the requested ISA, degraded to the best supported one
+/// Kernel for the requested ISA, degraded to the best supported one
 /// (Avx512 -> Avx2 -> Word64; Neon -> Word64 off-ARM) and clamped by the
 /// XOREC_FORCE_ISA override when set. table.isa names the selection.
 const KernelTable& kernel_table(Isa isa);

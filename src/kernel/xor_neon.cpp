@@ -1,9 +1,7 @@
 // NEON kernels for aarch64 — NEON is baseline there, so no runtime probe is
 // needed beyond the compile-time gate; dispatch.cpp routes Isa::Neon (and
 // Auto) here. The main loop moves 64 bytes per iteration per stream with 4
-// q-register accumulators. No streaming-store form: aarch64 non-temporal
-// pair stores (stnp) have no portable intrinsic and weak benefit, so
-// many_nt aliases many.
+// q-register accumulators; arities up to 8 run a fully unrolled instance.
 #include "kernel/xor_kernel.hpp"
 
 #if defined(XOREC_HAVE_NEON)
@@ -16,17 +14,15 @@ namespace xorec::kernel {
 
 namespace {
 
-template <size_t K, bool Accum>
+template <size_t K>
 void neon_loop(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
   size_t i = 0;
   for (; i + 64 <= len; i += 64) {
-    uint8x16_t a0, a1, a2, a3;
-    const uint8_t* base = Accum ? dst : srcs[0];
-    a0 = vld1q_u8(base + i);
-    a1 = vld1q_u8(base + i + 16);
-    a2 = vld1q_u8(base + i + 32);
-    a3 = vld1q_u8(base + i + 48);
-    for (size_t j = Accum ? 0 : 1; j < K; ++j) {
+    uint8x16_t a0 = vld1q_u8(srcs[0] + i);
+    uint8x16_t a1 = vld1q_u8(srcs[0] + i + 16);
+    uint8x16_t a2 = vld1q_u8(srcs[0] + i + 32);
+    uint8x16_t a3 = vld1q_u8(srcs[0] + i + 48);
+    for (size_t j = 1; j < K; ++j) {
       a0 = veorq_u8(a0, vld1q_u8(srcs[j] + i));
       a1 = veorq_u8(a1, vld1q_u8(srcs[j] + i + 16));
       a2 = veorq_u8(a2, vld1q_u8(srcs[j] + i + 32));
@@ -38,35 +34,15 @@ void neon_loop(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
     vst1q_u8(dst + i + 48, a3);
   }
   for (; i + 16 <= len; i += 16) {
-    uint8x16_t a = vld1q_u8((Accum ? dst : srcs[0]) + i);
-    for (size_t j = Accum ? 0 : 1; j < K; ++j) a = veorq_u8(a, vld1q_u8(srcs[j] + i));
+    uint8x16_t a = vld1q_u8(srcs[0] + i);
+    for (size_t j = 1; j < K; ++j) a = veorq_u8(a, vld1q_u8(srcs[j] + i));
     vst1q_u8(dst + i, a);
   }
   for (; i < len; ++i) {
-    uint8_t acc;
-    if constexpr (Accum) {
-      acc = dst[i];
-      for (size_t j = 0; j < K; ++j) acc ^= srcs[j][i];
-    } else {
-      acc = srcs[0][i];
-      for (size_t j = 1; j < K; ++j) acc ^= srcs[j][i];
-    }
+    uint8_t acc = srcs[0][i];
+    for (size_t j = 1; j < K; ++j) acc ^= srcs[j][i];
     dst[i] = acc;
   }
-}
-
-template <size_t K>
-void xor_fixed_neon(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
-  if constexpr (K == 1) {
-    if (dst != srcs[0]) std::memmove(dst, srcs[0], len);
-    return;
-  }
-  neon_loop<K, false>(dst, srcs, len);
-}
-
-template <size_t K>
-void xor_accum_neon(uint8_t* dst, const uint8_t* const* srcs, size_t len) {
-  neon_loop<K, true>(dst, srcs, len);
 }
 
 }  // namespace
@@ -76,13 +52,13 @@ void xor_many_neon(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t le
     case 1:
       if (dst != srcs[0]) std::memmove(dst, srcs[0], len);
       return;
-    case 2: xor_fixed_neon<2>(dst, srcs, len); return;
-    case 3: xor_fixed_neon<3>(dst, srcs, len); return;
-    case 4: xor_fixed_neon<4>(dst, srcs, len); return;
-    case 5: xor_fixed_neon<5>(dst, srcs, len); return;
-    case 6: xor_fixed_neon<6>(dst, srcs, len); return;
-    case 7: xor_fixed_neon<7>(dst, srcs, len); return;
-    case 8: xor_fixed_neon<8>(dst, srcs, len); return;
+    case 2: neon_loop<2>(dst, srcs, len); return;
+    case 3: neon_loop<3>(dst, srcs, len); return;
+    case 4: neon_loop<4>(dst, srcs, len); return;
+    case 5: neon_loop<5>(dst, srcs, len); return;
+    case 6: neon_loop<6>(dst, srcs, len); return;
+    case 7: neon_loop<7>(dst, srcs, len); return;
+    case 8: neon_loop<8>(dst, srcs, len); return;
     default: break;
   }
   size_t i = 0;
@@ -99,29 +75,7 @@ void xor_many_neon(uint8_t* dst, const uint8_t* const* srcs, size_t k, size_t le
 }
 
 const KernelTable& neon_table() {
-  static const KernelTable t = [] {
-    KernelTable k;
-    k.isa = Isa::Neon;
-    k.many = &xor_many_neon;
-    k.many_nt = &xor_many_neon;
-    k.fixed[1] = &xor_fixed_neon<1>;
-    k.fixed[2] = &xor_fixed_neon<2>;
-    k.fixed[3] = &xor_fixed_neon<3>;
-    k.fixed[4] = &xor_fixed_neon<4>;
-    k.fixed[5] = &xor_fixed_neon<5>;
-    k.fixed[6] = &xor_fixed_neon<6>;
-    k.fixed[7] = &xor_fixed_neon<7>;
-    k.fixed[8] = &xor_fixed_neon<8>;
-    k.accum[1] = &xor_accum_neon<1>;
-    k.accum[2] = &xor_accum_neon<2>;
-    k.accum[3] = &xor_accum_neon<3>;
-    k.accum[4] = &xor_accum_neon<4>;
-    k.accum[5] = &xor_accum_neon<5>;
-    k.accum[6] = &xor_accum_neon<6>;
-    k.accum[7] = &xor_accum_neon<7>;
-    k.accum[8] = &xor_accum_neon<8>;
-    return k;
-  }();
+  static const KernelTable t{Isa::Neon, &xor_many_neon};
   return t;
 }
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,7 +19,8 @@ namespace {
 void write_all(int fd, const uint8_t* data, size_t len) {
   size_t off = 0;
   while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
+    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) throw std::runtime_error("net::Client: connection write failed");
     off += static_cast<size_t>(n);
   }

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -58,7 +59,7 @@ struct NetServer::Impl {
   /// One queued response: up to two gather segments. Small frames (errors,
   /// pongs) travel whole in `head`; codec responses keep the 56-byte header
   /// and the strip payload in the separate buffers they were produced in,
-  /// and writev stitches them on the wire.
+  /// and one gathering send stitches them on the wire.
   struct Outbound {
     std::vector<uint8_t> head;
     std::vector<uint8_t> body;  // may be empty
@@ -86,7 +87,7 @@ struct NetServer::Impl {
   /// One in-flight TCP request: owns the request body (the codec reads the
   /// wire bytes in place) and the preallocated response BODY (the codec
   /// writes parity/rebuilt strips into the bytes that will hit the socket —
-  /// the header is encoded separately and writev gathers the two).
+  /// the header is encoded separately and the gathering send joins the two).
   struct Req {
     uint64_t conn_id = 0;
     std::vector<uint8_t> body;
@@ -467,7 +468,7 @@ struct NetServer::Impl {
     return true;
   }
 
-  /// Gather every queued segment (bounded by kMaxIov) into one writev:
+  /// Gather every queued segment (bounded by kMaxIov) into one sendmsg:
   /// header and strip payload leave from their own buffers, and several
   /// queued frames batch into a single syscall. `out_off` tracks how far
   /// into the FRONT outbound the wire has advanced; partial writes resume
@@ -493,9 +494,15 @@ struct NetServer::Impl {
           ++n_iov;
         }
       }
-      const ssize_t n = ::writev(c.fd, iov, n_iov);
-      if (n < 0) return true;  // EAGAIN
-      if (n == 0) {
+      // sendmsg rather than writev for MSG_NOSIGNAL: a peer that resets
+      // mid-response must cost its connection, not raise SIGPIPE.
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<size_t>(n_iov);
+      const ssize_t n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+      if (n <= 0) {
         close_conn(c.fd);
         return false;
       }
@@ -631,7 +638,7 @@ struct NetServer::Impl {
     push_completion(std::move(fut), [this, req, bytes_in](bool ok, const std::string& emsg) {
       if (ok) {
         // The body stays where the codec wrote it; only the 56-byte header
-        // is materialized here. writev joins the two on the wire.
+        // is materialized here. The gathering send joins the two on the wire.
         req->rh.body_crc = crc32(req->resp_body.data(), req->rh.body_size());
         std::vector<uint8_t> head(wire::kFrameHeaderSize);
         encode_frame_header(req->rh, head.data());

@@ -68,12 +68,13 @@ struct NetServerStats {
   uint64_t tcp_bytes_in = 0;
   uint64_t tcp_bytes_out = 0;
   /// Scatter/gather send-path counters: responses leave as (header, body)
-  /// segment pairs through one writev(2) per loop pass, batching across all
-  /// frames queued on a connection. `gather_bytes_saved` counts body bytes
-  /// that were handed to the socket where they were computed instead of
-  /// being memcpy'd into a contiguous header+body frame first.
+  /// segment pairs through one gathering sendmsg(2) per loop pass, batching
+  /// across all frames queued on a connection (the counters keep their
+  /// writev names). `gather_bytes_saved` counts body bytes that were handed
+  /// to the socket where they were computed instead of being memcpy'd into a
+  /// contiguous header+body frame first.
   size_t writev_calls = 0;
-  size_t writev_segments = 0;       // iovec entries across all writev calls
+  size_t writev_segments = 0;       // iovec entries across all gathering sends
   uint64_t gather_bytes_saved = 0;  // response-body bytes never re-copied
   size_t udp_groups = 0;           // stripe groups completed
   size_t udp_degraded_reads = 0;   // groups that needed reconstruction

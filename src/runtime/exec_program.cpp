@@ -4,12 +4,6 @@
 
 namespace xorec::runtime {
 
-size_t ExecProgram::max_arity() const {
-  size_t m = 0;
-  for (const ExecOp& op : ops) m = std::max(m, op.srcs.size());
-  return m;
-}
-
 ExecProgram compile(const slp::Program& p) {
   p.validate();
   ExecProgram e;

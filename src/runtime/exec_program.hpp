@@ -36,9 +36,6 @@ struct ExecProgram {
   uint32_t num_inputs = 0;
   uint32_t num_outputs = 0;
   uint32_t num_scratch = 0;
-
-  /// Largest instruction arity (sizing the pointer array in the executor).
-  size_t max_arity() const;
 };
 
 /// Lower an SLP (any stage/form) to the execution program. A variable listed

@@ -2,51 +2,65 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 #include "runtime/thread_pool.hpp"
 
 namespace xorec::runtime {
 
-const char* exec_backend_name(ExecBackend b) {
-  switch (b) {
-    case ExecBackend::Interp: return "interp";
-    case ExecBackend::Lowered: return "lowered";
-    case ExecBackend::Auto: return "auto";
+namespace {
+
+uint32_t slot_of(const Operand& o, uint32_t num_inputs, uint32_t num_outputs) {
+  switch (o.space) {
+    case Space::In: return o.index;
+    case Space::Out: return num_inputs + o.index;
+    case Space::Scratch: return num_inputs + num_outputs + o.index;
   }
-  return "?";
+  throw std::invalid_argument("Executor: bad operand space");
 }
 
-std::optional<ExecBackend> parse_exec_backend(const char* name) {
-  if (!name) return std::nullopt;
-  const std::string_view v = name;
-  if (v == "interp") return ExecBackend::Interp;
-  if (v == "lowered") return ExecBackend::Lowered;
-  if (v == "auto") return ExecBackend::Auto;
-  return std::nullopt;
+}  // namespace
+
+Executor::Scratch::Scratch(const Executor& ex)
+    : arena(ex.num_scratch_, ex.opt_.block_size, ex.opt_.block_size, ex.opt_.stagger_scratch),
+      slots(ex.num_inputs_ + ex.num_outputs_ + ex.num_scratch_),
+      args(ex.max_arity_) {
+  const uint32_t n_moving = ex.num_inputs_ + ex.num_outputs_;
+  for (uint32_t s = 0; s < ex.num_scratch_; ++s) slots[n_moving + s] = arena.strip(s);
 }
 
-Executor::Executor(ExecProgram program, ExecOptions opt)
-    : prog_(std::move(program)), opt_(opt) {
+Executor::Executor(const ExecProgram& program, ExecOptions opt)
+    : opt_(opt),
+      num_inputs_(program.num_inputs),
+      num_outputs_(program.num_outputs),
+      num_scratch_(program.num_scratch) {
   if (opt_.block_size == 0) throw std::invalid_argument("Executor: block_size == 0");
   if (opt_.threads == 0) opt_.threads = 1;
 
   const kernel::KernelTable& kt = kernel::kernel_table(opt_.isa);
   kernel_ = kt.many;
   isa_ = kt.isa;
-  backend_ = opt_.backend == ExecBackend::Auto ? ExecBackend::Lowered : opt_.backend;
-  if (backend_ == ExecBackend::Lowered)
-    lowered_ = std::make_unique<const LoweredProgram>(prog_, kt, opt_.block_size,
-                                                      opt_.nt_threshold);
+
+  const uint32_t ni = num_inputs_, no = num_outputs_;
+  ops_.reserve(program.ops.size());
+  for (const ExecOp& op : program.ops) {
+    if (op.dst.space == Space::In)
+      throw std::invalid_argument("Executor: write to input space");
+    const uint32_t dst = slot_of(op.dst, ni, no);
+    if (op.srcs.size() == 1 && slot_of(op.srcs[0], ni, no) == dst) continue;  // self-copy
+    const auto arity = static_cast<uint32_t>(op.srcs.size());
+    ops_.push_back({dst, static_cast<uint32_t>(arg_slots_.size()), arity});
+    for (const Operand& src : op.srcs) arg_slots_.push_back(slot_of(src, ni, no));
+    max_arity_ = std::max(max_arity_, arity);
+  }
 
   if (opt_.threads > 1) {
     worker_scratch_.reserve(opt_.threads);
     for (size_t w = 0; w < opt_.threads; ++w)
-      worker_scratch_.push_back(std::make_unique<Scratch>(prog_, opt_, lowered_.get()));
+      worker_scratch_.push_back(std::make_unique<Scratch>(*this));
   } else {
     // Pre-warm one freelist entry so the common single-caller case never
     // allocates inside run().
-    free_scratch_.push_back(std::make_unique<Scratch>(prog_, opt_, lowered_.get()));
+    free_scratch_.push_back(std::make_unique<Scratch>(*this));
     scratch_allocated_ = 1;
   }
 }
@@ -63,7 +77,7 @@ std::unique_ptr<Executor::Scratch> Executor::acquire_scratch() const {
     }
     ++scratch_allocated_;
   }
-  return std::make_unique<Scratch>(prog_, opt_, lowered_.get());
+  return std::make_unique<Scratch>(*this);
 }
 
 void Executor::release_scratch(std::unique_ptr<Scratch> s) const {
@@ -84,50 +98,43 @@ ScratchStats Executor::scratch_stats() const {
 
 void Executor::run_range(const uint8_t* const* inputs, uint8_t* const* outputs, size_t begin,
                          size_t end, Scratch& scratch) const {
-  if (lowered_) {
-    lowered_->run_range(*scratch.lowered_state, inputs, outputs, scratch.ptrs.data(), begin,
-                        end, opt_.block_size, opt_.prefetch_next_block);
-    return;
-  }
-
   const size_t B = opt_.block_size;
-  uint8_t* const* scr = scratch.ptrs.data();
-  std::vector<const uint8_t*> srcs(std::max<size_t>(prog_.max_arity(), 1));
+  const uint32_t ni = num_inputs_;
+  const uint32_t n_moving = ni + num_outputs_;
+  uint8_t** slots = scratch.slots.data();
+  const uint8_t** args = scratch.args.data();
+  const uint32_t* arg_slots = arg_slots_.data();
+
+  // Input slots are never written (the constructor rejects In
+  // destinations); the const_cast only unifies the table type.
+  for (uint32_t i = 0; i < ni; ++i) slots[i] = const_cast<uint8_t*>(inputs[i]) + begin;
+  for (uint32_t o = ni; o < n_moving; ++o) slots[o] = outputs[o - ni] + begin;
 
   for (size_t off = begin; off < end; off += B) {
     const size_t len = std::min(B, end - off);
-    if (opt_.prefetch_next_block && off + B < end) {
+    const bool more = off + B < end;
+    if (opt_.prefetch_next_block && more) {
       // Pull the next block's input cache lines while this block computes.
-      for (uint32_t i = 0; i < prog_.num_inputs; ++i) {
-        const uint8_t* next = inputs[i] + off + B;
+      for (uint32_t i = 0; i < ni; ++i) {
+        const uint8_t* next = slots[i] + B;
         for (size_t l = 0; l < len; l += 64) __builtin_prefetch(next + l, 0, 1);
       }
     }
-    for (const ExecOp& op : prog_.ops) {
-      for (size_t j = 0; j < op.srcs.size(); ++j) {
-        const Operand& s = op.srcs[j];
-        switch (s.space) {
-          case Space::In: srcs[j] = inputs[s.index] + off; break;
-          case Space::Out: srcs[j] = outputs[s.index] + off; break;
-          case Space::Scratch: srcs[j] = scr[s.index]; break;
-        }
-      }
-      uint8_t* dst;
-      switch (op.dst.space) {
-        case Space::Out: dst = outputs[op.dst.index] + off; break;
-        case Space::Scratch: dst = scr[op.dst.index]; break;
-        case Space::In:
-        default:
-          throw std::logic_error("Executor: write to input space");
-      }
-      kernel_(dst, srcs.data(), op.srcs.size(), len);
+    for (const Op& op : ops_) {
+      const uint32_t* as = arg_slots + op.arg_base;
+      for (uint32_t j = 0; j < op.arity; ++j) args[j] = slots[as[j]];
+      kernel_(slots[op.dst], args, op.arity, len);
     }
+    // Only while a block follows: past the last one the pointers would
+    // leave their strips.
+    if (more)
+      for (uint32_t s = 0; s < n_moving; ++s) slots[s] += B;
   }
 }
 
 void Executor::run(const uint8_t* const* inputs, uint8_t* const* outputs,
                    size_t strip_len) const {
-  if (strip_len == 0 || prog_.ops.empty()) return;
+  if (strip_len == 0 || ops_.empty()) return;
   const size_t B = opt_.block_size;
 
   if (opt_.threads <= 1) {

@@ -1,35 +1,30 @@
 // The blocked SLP execution engine (§6.1): runs a compiled program over
 // strips in B-byte blocks so all the pebbles of one iteration stay
 // cache-resident, with optional thread-level parallelism over the strip
-// length. Two backends share the blocking loop:
-//   exec=interp   — walk the ExecProgram, resolving operands per instruction
-//                   per block through the variadic xor_many kernel;
-//   exec=lowered  — run the straight-line LoweredProgram of pre-resolved
-//                   fixed-arity/accumulate kernel calls (lowered once, in
-//                   this constructor; see runtime/lowered_program.hpp).
+// length.
+//
+// The constructor resolves the program once into a slot table: every
+// operand becomes an index into one flat array of block pointers laid out
+// [inputs][outputs][scratch], and every instruction becomes {dst slot,
+// offset into one concatenated argument-slot array, arity}. Per block, run()
+// gathers each instruction's argument pointers from the slot table into one
+// small reused buffer (no per-operand address-space switch, no allocation),
+// calls the ISA's xor_many kernel (kernel_table(isa).many — fully unrolled
+// for arity <= 8, a source loop beyond), then advances the input/output
+// slots by B while the scratch slots stay put.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <vector>
 
 #include "kernel/xor_kernel.hpp"
 #include "runtime/aligned_buffer.hpp"
 #include "runtime/exec_program.hpp"
-#include "runtime/lowered_program.hpp"
 
 namespace xorec::runtime {
-
-/// Execution backend (spec key exec=). Auto resolves to Lowered; the
-/// interpreter survives as the reference semantics and for differential
-/// testing. The numeric values are baked into plan-cache fingerprints.
-enum class ExecBackend : uint8_t { Interp, Lowered, Auto };
-
-const char* exec_backend_name(ExecBackend b);
-/// "interp"/"lowered"/"auto" -> backend; nullopt for anything else.
-std::optional<ExecBackend> parse_exec_backend(const char* name);
 
 struct ExecOptions {
   size_t block_size = 2048;               // B of the blocking technique
@@ -40,12 +35,6 @@ struct ExecOptions {
   /// prefetches for the *input* strips of block i+1 so loads overlap the
   /// in-cache XOR work. 0 disables.
   bool prefetch_next_block = false;
-  ExecBackend backend = ExecBackend::Auto;
-  /// Lowered backend only: blocks at least this large may use non-temporal
-  /// stores for output strips no later instruction re-reads. The default
-  /// keeps NT off for cache-blocked sizes (streaming past the cache only
-  /// pays once a block outgrows it).
-  size_t nt_threshold = 256 * 1024;
 };
 
 /// Executor scratch-freelist counters (see Executor::scratch_stats).
@@ -65,18 +54,15 @@ struct ScratchStats {
 /// permanently pin burst-many arenas.
 class Executor {
  public:
-  Executor(ExecProgram program, ExecOptions opt = {});
+  /// Throws std::invalid_argument for block_size == 0 or an instruction
+  /// that writes an input strip.
+  Executor(const ExecProgram& program, ExecOptions opt = {});
 
-  const ExecProgram& program() const { return prog_; }
   const ExecOptions& options() const { return opt_; }
 
-  /// The backend/ISA this executor actually runs (after Auto resolution,
-  /// host capability degrade, and the XOREC_FORCE_ISA override).
-  ExecBackend backend() const { return backend_; }
+  /// The ISA this executor actually runs (after Auto resolution, host
+  /// capability degrade, and the XOREC_FORCE_ISA override).
   kernel::Isa isa() const { return isa_; }
-  /// The lowered form, when backend() == Lowered (instruction-mix
-  /// introspection for tests/benches).
-  const LoweredProgram* lowered() const { return lowered_.get(); }
 
   ScratchStats scratch_stats() const;
 
@@ -86,17 +72,21 @@ class Executor {
   void run(const uint8_t* const* inputs, uint8_t* const* outputs, size_t strip_len) const;
 
  private:
-  /// One worker's private pebble storage (plus the lowered backend's slot
-  /// and argument tables, so run() never allocates).
+  /// One pre-resolved instruction.
+  struct Op {
+    uint32_t dst = 0;       // slot index
+    uint32_t arg_base = 0;  // offset into arg_slots_
+    uint32_t arity = 0;
+  };
+
+  /// One caller's private state: the pebble arena, the slot table (scratch
+  /// slots point into the arena for good) and the per-instruction argument
+  /// buffer, so run() never allocates.
   struct Scratch {
     StripArena arena;
-    std::vector<uint8_t*> ptrs;
-    std::unique_ptr<LoweredProgram::State> lowered_state;
-    Scratch(const ExecProgram& prog, const ExecOptions& opt, const LoweredProgram* lp)
-        : arena(prog.num_scratch, opt.block_size, opt.block_size, opt.stagger_scratch),
-          ptrs(arena.pointers()) {
-      if (lp) lowered_state = std::make_unique<LoweredProgram::State>(*lp);
-    }
+    std::vector<uint8_t*> slots;
+    std::vector<const uint8_t*> args;
+    explicit Scratch(const Executor& ex);
   };
 
   void run_range(const uint8_t* const* inputs, uint8_t* const* outputs, size_t begin,
@@ -104,12 +94,13 @@ class Executor {
   std::unique_ptr<Scratch> acquire_scratch() const;
   void release_scratch(std::unique_ptr<Scratch> s) const;
 
-  ExecProgram prog_;
   ExecOptions opt_;
   kernel::XorManyFn kernel_;
-  ExecBackend backend_ = ExecBackend::Interp;
   kernel::Isa isa_ = kernel::Isa::Scalar;
-  std::unique_ptr<const LoweredProgram> lowered_;
+  uint32_t num_inputs_ = 0, num_outputs_ = 0, num_scratch_ = 0;
+  uint32_t max_arity_ = 1;
+  std::vector<Op> ops_;
+  std::vector<uint32_t> arg_slots_;  // all ops' argument slots, concatenated
   std::vector<std::unique_ptr<Scratch>> worker_scratch_;  // threads > 1 path
   mutable std::mutex scratch_mu_;  // guards the freelist + counters below
   mutable std::vector<std::unique_ptr<Scratch>> free_scratch_;

@@ -1,8 +1,9 @@
-// Differential suite for the execution-backend layer: every exec= backend x
-// isa= kernel family must be byte-identical to the scalar interpreter (and
-// to the original payload) across the conformance harness's erasure
-// patterns, at strip lengths chosen to stress the kernels' tail paths —
-// odd lengths far from any SIMD width, and a short final block.
+// Differential suite for the execution layer: every isa= kernel (under each
+// accepted exec= spelling) must be byte-identical to the isa=scalar
+// reference codec (and to the original payload) across the conformance
+// harness's erasure patterns, at strip lengths chosen to stress the
+// kernels' tail paths — odd lengths far from any SIMD width, and a short
+// final block.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include "api/registry.hpp"
 #include "conformance/codec_conformance.hpp"
 #include "ec/plan_cache.hpp"
-#include "ec/rs_codec.hpp"
 #include "kernel/xor_kernel.hpp"
 #include "runtime/executor.hpp"
 
@@ -48,7 +48,7 @@ Stripe encoded_stripe(const Codec& c, size_t frag_len, uint32_t seed) {
 }
 
 /// Encode + every C(n, <= m) reconstruct of `spec` must be byte-identical
-/// to `ref` (the scalar interpreter codec over the same family/geometry).
+/// to `ref` (the isa=scalar codec over the same family/geometry).
 void expect_identical(const std::string& spec, const Codec& ref, const Stripe& ref_stripe,
                       size_t max_erased, uint32_t seed) {
   SCOPED_TRACE(spec);
@@ -71,7 +71,7 @@ void expect_identical(const std::string& spec, const Codec& ref, const Stripe& r
     try {
       ref_plan = ref.plan_reconstruct(available, erased);
     } catch (const std::invalid_argument&) {
-      // Unrecoverable under the reference (non-MDS families): every backend
+      // Unrecoverable under the reference (non-MDS families): every kernel
       // must agree.
       EXPECT_THROW(codec->plan_reconstruct(available, erased), std::invalid_argument);
       continue;
@@ -100,24 +100,23 @@ constexpr size_t kLongStrip = 1000;
 class ExecBackendDifferential : public ::testing::Test {};
 
 TEST(ExecBackendDifferential, RsFullSweepOddStrips) {
-  const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp");
+  const auto ref = make_codec("rs(6,3)@isa=scalar");
   const size_t frag_len = ref->fragment_multiple() * kOddStrip;
   const Stripe st = encoded_stripe(*ref, frag_len, /*seed=*/1);
   for (const char* isa : {"scalar", "word64", "avx2", "avx512", "neon", "auto"})
-    for (const char* exec : {"interp", "lowered"})
-      expect_identical("rs(6,3)@isa=" + std::string(isa) + ",exec=" + exec, *ref, st,
-                       ref->parity_fragments(), /*seed=*/1);
+    expect_identical("rs(6,3)@isa=" + std::string(isa), *ref, st, ref->parity_fragments(),
+                     /*seed=*/1);
 }
 
 TEST(ExecBackendDifferential, RsShortFinalBlock) {
-  const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp,block=384");
+  const auto ref = make_codec("rs(6,3)@isa=scalar,block=384");
   const size_t frag_len = ref->fragment_multiple() * kLongStrip;
   const Stripe st = encoded_stripe(*ref, frag_len, /*seed=*/2);
-  for (const char* exec : {"interp", "lowered"})
-    expect_identical("rs(6,3)@block=384,exec=" + std::string(exec), *ref, st,
-                     ref->parity_fragments(), /*seed=*/2);
+  expect_identical("rs(6,3)@block=384", *ref, st, ref->parity_fragments(), /*seed=*/2);
 }
 
+// The best host kernel under every accepted exec= spelling (the three name
+// one executor; frozen specs and old clients still send them).
 TEST(ExecBackendDifferential, OtherFamiliesBestIsaBothBackends) {
   struct Fam {
     const char* spec;
@@ -125,55 +124,26 @@ TEST(ExecBackendDifferential, OtherFamiliesBestIsaBothBackends) {
   };
   for (const Fam& fam : {Fam{"cauchy(5,3)", 3}, Fam{"lrc(6,2,2)", 4}, Fam{"evenodd(4)", 2}}) {
     const std::string base(fam.spec);
-    const auto ref = make_codec(base + "@isa=scalar,exec=interp");
+    const auto ref = make_codec(base + "@isa=scalar");
     const size_t frag_len = ref->fragment_multiple() * kOddStrip;
     const Stripe st = encoded_stripe(*ref, frag_len, /*seed=*/3);
-    for (const char* exec : {"interp", "lowered"})
+    for (const char* exec : {"interp", "lowered", "auto"})
       expect_identical(base + "@exec=" + exec, *ref, st, fam.max_erased, /*seed=*/3);
   }
 }
 
-TEST(ExecBackendDifferential, NtStoresByteIdentical) {
-  // Force the non-temporal path: nt_threshold <= block so every dead-store
-  // output streams. The spec grammar deliberately has no nt= knob (it is a
-  // tuning constant), so build through the registry-parallel ExecOptions.
-  const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp");
-  const size_t frag_len = ref->fragment_multiple() * kLongStrip;
-  const Stripe ref_st = encoded_stripe(*ref, frag_len, /*seed=*/4);
-
-  ec::CodecOptions opt;
-  opt.exec.backend = runtime::ExecBackend::Lowered;
-  opt.exec.nt_threshold = 1;  // every block qualifies
-  const ec::RsCodec codec(6, 3, opt);
-  const Stripe st = encoded_stripe(codec, frag_len, /*seed=*/4);
-  for (size_t f = 0; f < ref->total_fragments(); ++f)
-    ASSERT_EQ(st.frags[f], ref_st.frags[f]) << "NT encode mismatch, fragment " << f;
-
-  const std::vector<uint32_t> available{0, 1, 2, 6, 7, 8};
-  const std::vector<uint32_t> erased{3, 4, 5};
-  std::vector<const uint8_t*> in;
-  for (uint32_t id : available) in.push_back(st.frags[id].data());
-  std::vector<std::vector<uint8_t>> rebuilt(erased.size());
-  std::vector<uint8_t*> out;
-  for (auto& b : rebuilt) {
-    b.assign(frag_len, 0xCD);
-    out.push_back(b.data());
-  }
-  codec.plan_reconstruct(available, erased)->execute(in.data(), out.data(), frag_len);
-  for (size_t e = 0; e < erased.size(); ++e)
-    ASSERT_EQ(rebuilt[e], st.frags[erased[e]]) << "NT fragment " << erased[e];
-}
-
 TEST(ExecBackendGrammar, SpecKeysRoundTrip) {
-  // Canonical form keeps only exec=interp: exec=lowered and exec=auto both
-  // name the default backend and drop.
-  EXPECT_EQ(canonical_spec("rs(6,3)@exec=interp"), "rs(6,3)@exec=interp");
-  EXPECT_EQ(canonical_spec("rs(6,3)@exec=lowered"), "rs(6,3)");
-  EXPECT_EQ(canonical_spec("rs(6,3)@exec=auto"), "rs(6,3)");
-  EXPECT_EQ(canonical_spec("rs(6,3)@exec=auto"), canonical_spec("rs(6,3)"));
+  // exec= is accepted for compatibility and names the one executor, so
+  // canonical_spec drops every value of it.
+  for (const char* exec : {"interp", "lowered", "auto"}) {
+    const std::string spec = std::string("rs(6,3)@exec=") + exec;
+    EXPECT_NO_THROW(make_codec(spec)) << spec;
+    EXPECT_EQ(canonical_spec(spec), "rs(6,3)") << spec;
+    EXPECT_EQ(canonical_spec(std::string("rs(6,3)@isa=neon,exec=") + exec),
+              "rs(6,3)@isa=neon");
+  }
   EXPECT_EQ(canonical_spec("rs(6,3)@isa=avx512"), "rs(6,3)@isa=avx512");
-  EXPECT_EQ(canonical_spec("rs(6,3)@isa=neon,exec=interp"), "rs(6,3)@isa=neon,exec=interp");
-  // Only the three backend names parse; the error names them.
+  // Only the three compatibility names parse; the error names them.
   for (const char* bad : {"rs(6,3)@exec=jit", "rs(6,3)@exec=bogus"}) {
     try {
       make_codec(bad);
@@ -188,16 +158,13 @@ TEST(ExecBackendGrammar, SpecKeysRoundTrip) {
 }
 
 TEST(ExecBackendGrammar, ExecInfoReportsResolvedBackend) {
-  const auto lowered = make_codec("rs(6,3)");
-  EXPECT_EQ(lowered->exec_info().backend, "lowered");
-  EXPECT_FALSE(lowered->exec_info().isa.empty());
-  EXPECT_NE(lowered->exec_info().isa, "auto");  // resolved, not requested
-
-  const auto interp = make_codec("rs(6,3)@exec=interp");
-  EXPECT_EQ(interp->exec_info().backend, "interp");
-
-  const auto auto_b = make_codec("rs(6,3)@exec=auto");
-  EXPECT_EQ(auto_b->exec_info().backend, "lowered");
+  // backend is the constant executor name; isa is what the kernel resolved to.
+  for (const char* spec : {"rs(6,3)", "rs(6,3)@exec=interp", "rs(6,3)@exec=auto"}) {
+    const auto codec = make_codec(spec);
+    EXPECT_EQ(codec->exec_info().backend, "lowered") << spec;
+    EXPECT_FALSE(codec->exec_info().isa.empty()) << spec;
+    EXPECT_NE(codec->exec_info().isa, "auto") << spec;  // resolved, not requested
+  }
 
   // Explicit isa= requests resolve verbatim — unless the process runs under
   // XOREC_FORCE_ISA (the CI force-isa legs), which clamps every resolution.
@@ -209,22 +176,22 @@ TEST(ExecBackendGrammar, ExecInfoReportsResolvedBackend) {
 }
 
 TEST(ExecBackendGrammar, FingerprintSeparatesBackends) {
-  const slp::PipelineOptions pl;
-  runtime::ExecOptions interp, lowered, auto_b;
-  interp.backend = runtime::ExecBackend::Interp;
-  lowered.backend = runtime::ExecBackend::Lowered;
-  auto_b.backend = runtime::ExecBackend::Auto;
-  // interp and lowered must never collide in the shared plan cache; auto
-  // resolves to lowered and shares its entries.
-  EXPECT_NE(ec::PlanCache::fingerprint_config(pl, interp),
-            ec::PlanCache::fingerprint_config(pl, lowered));
-  EXPECT_EQ(ec::PlanCache::fingerprint_config(pl, auto_b),
-            ec::PlanCache::fingerprint_config(pl, lowered));
+  // Plans are keyed by what changes the compiled executor. Every exec=
+  // spelling yields one fingerprint (and one shared-cache identity); a
+  // different kernel ISA yields another.
+  std::vector<uint64_t> fps;
+  for (const char* exec : {"interp", "lowered", "auto"})
+    fps.push_back(make_codec(std::string("rs(6,3)@exec=") + exec)->plan_footprint().config_fp);
+  const uint64_t plain = make_codec("rs(6,3)")->plan_footprint().config_fp;
+  ASSERT_NE(plain, 0u);
+  for (uint64_t fp : fps) EXPECT_EQ(fp, plain);
 
-  runtime::ExecOptions nt = lowered;
-  nt.nt_threshold = 64;  // different lowered instruction stream
-  EXPECT_NE(ec::PlanCache::fingerprint_config(pl, nt),
-            ec::PlanCache::fingerprint_config(pl, lowered));
+  const slp::PipelineOptions pl;
+  runtime::ExecOptions scalar, avx2;
+  scalar.isa = kernel::Isa::Scalar;
+  avx2.isa = kernel::Isa::Avx2;
+  EXPECT_NE(ec::PlanCache::fingerprint_config(pl, scalar),
+            ec::PlanCache::fingerprint_config(pl, avx2));
 }
 
 TEST(ExecBackendForceIsa, OverrideClampsEveryResolution) {
@@ -243,7 +210,7 @@ TEST(ExecBackendForceIsa, OverrideClampsEveryResolution) {
   const Stripe st = encoded_stripe(*forced, forced->fragment_multiple() * kOddStrip,
                                    /*seed=*/5);
   kernel::set_forced_isa_for_testing(std::nullopt);
-  const auto ref = make_codec("rs(6,3)@isa=scalar,exec=interp");
+  const auto ref = make_codec("rs(6,3)@isa=scalar");
   const Stripe ref_st = encoded_stripe(*ref, st.frag_len, /*seed=*/5);
   for (size_t f = 0; f < ref->total_fragments(); ++f)
     EXPECT_EQ(st.frags[f], ref_st.frags[f]) << "fragment " << f;

@@ -58,7 +58,12 @@ INSTANTIATE_TEST_SUITE_P(
                                                  129, 255, 1024, 4096, 10000)),
     kernel_sweep_name);
 
-// ---- KernelTable: fixed-arity, accumulate and non-temporal forms -----------
+// ---- kernel_table(isa).many in every call shape the executor makes --------
+//
+// Out of place, dst ^= srcs (dst leading its own sources) and a destination
+// at any alignment, over every arity `many` unrolls. The test keeps the name
+// of the fixed/accum/streaming table forms whose call shapes it now checks
+// on `many`.
 
 class KernelTableSweep : public ::testing::TestWithParam<std::tuple<k::Isa, size_t, size_t>> {
 };
@@ -66,6 +71,7 @@ class KernelTableSweep : public ::testing::TestWithParam<std::tuple<k::Isa, size
 TEST_P(KernelTableSweep, FixedAccumNtMatchOracle) {
   const auto [isa, arity, len] = GetParam();
   const k::KernelTable& kt = k::kernel_table(isa);
+  ASSERT_NE(kt.many, nullptr) << k::isa_name(kt.isa);
   std::vector<std::vector<uint8_t>> srcs;
   std::vector<const uint8_t*> ptrs;
   for (size_t j = 0; j < arity; ++j) {
@@ -74,24 +80,30 @@ TEST_P(KernelTableSweep, FixedAccumNtMatchOracle) {
   }
   const auto expected = oracle(srcs, len);
 
-  ASSERT_NE(kt.fixed[arity], nullptr) << k::isa_name(kt.isa);
   std::vector<uint8_t> dst(len, 0xEE);
-  kt.fixed[arity](dst.data(), ptrs.data(), len);
-  EXPECT_EQ(dst, expected) << "fixed[" << arity << "] " << k::isa_name(kt.isa);
+  kt.many(dst.data(), ptrs.data(), arity, len);
+  EXPECT_EQ(dst, expected) << "out of place, k=" << arity << " " << k::isa_name(kt.isa);
 
-  // accum[arity]: dst ^= srcs...  (dst pre-seeded, folded into the oracle).
-  ASSERT_NE(kt.accum[arity], nullptr) << k::isa_name(kt.isa);
+  // dst ^= srcs...: dst leads the source list, so k + 1 streams.
   auto acc = random_bytes(len, 999);
   std::vector<uint8_t> acc_expected(len);
   for (size_t i = 0; i < len; ++i) acc_expected[i] = static_cast<uint8_t>(acc[i] ^ expected[i]);
-  kt.accum[arity](acc.data(), ptrs.data(), len);
-  EXPECT_EQ(acc, acc_expected) << "accum[" << arity << "] " << k::isa_name(kt.isa);
+  std::vector<const uint8_t*> acc_ptrs{acc.data()};
+  acc_ptrs.insert(acc_ptrs.end(), ptrs.begin(), ptrs.end());
+  kt.many(acc.data(), acc_ptrs.data(), arity + 1, len);
+  EXPECT_EQ(acc, acc_expected) << "accumulate, k=" << arity << " " << k::isa_name(kt.isa);
 
-  // many_nt: same contract as many minus dst/src aliasing (none here).
-  ASSERT_NE(kt.many_nt, nullptr) << k::isa_name(kt.isa);
-  std::vector<uint8_t> nt(len, 0xEE);
-  kt.many_nt(nt.data(), ptrs.data(), arity, len);
-  EXPECT_EQ(nt, expected) << "many_nt " << k::isa_name(kt.isa);
+  // Misaligned destination inside a larger buffer: exact bytes written,
+  // none outside [shift, shift + len).
+  for (size_t shift : {1, 33}) {
+    std::vector<uint8_t> buf(len + 128, 0xEE);
+    kt.many(buf.data() + shift, ptrs.data(), arity, len);
+    for (size_t i = 0; i < buf.size(); ++i) {
+      const bool inside = i >= shift && i < shift + len;
+      ASSERT_EQ(buf[i], inside ? expected[i - shift] : 0xEE)
+          << "shift " << shift << " i " << i << " k=" << arity << " " << k::isa_name(kt.isa);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -102,25 +114,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 31, 63, 64, 65, 96, 127, 129, 1000,
                                                  4096)),
     kernel_sweep_name);
-
-TEST(KernelTable, NtStoresHandleMisalignedDst) {
-  // The streaming-store kernels align dst internally; every misalignment of
-  // a destination inside a larger buffer must still match the oracle.
-  const size_t len = 4096;
-  for (k::Isa isa : {k::Isa::Avx2, k::Isa::Avx512, k::Isa::Auto}) {
-    const k::KernelTable& kt = k::kernel_table(isa);
-    const auto a = random_bytes(len + 128, 50);
-    const auto b = random_bytes(len + 128, 51);
-    for (size_t shift : {0, 1, 17, 31, 32, 33, 63}) {
-      const uint8_t* srcs[2] = {a.data(), b.data()};
-      std::vector<uint8_t> dst(len + 128, 0);
-      kt.many_nt(dst.data() + shift, srcs, 2, len);
-      for (size_t i = 0; i < len; ++i)
-        ASSERT_EQ(dst[shift + i], static_cast<uint8_t>(a[i] ^ b[i]))
-            << k::isa_name(kt.isa) << " shift " << shift << " i " << i;
-    }
-  }
-}
 
 TEST(KernelTable, DegradesToHostSupport) {
   // Requesting a family the host lacks lands on a runnable fallback, and
@@ -139,32 +132,44 @@ TEST(KernelTable, DegradesToHostSupport) {
   }
 }
 
-TEST(Kernel, InPlaceAccumulationIsSafe) {
-  // dst aliases srcs[0] exactly: v ^= x ^ y.
-  for (k::Isa isa :
-       {k::Isa::Scalar, k::Isa::Word64, k::Isa::Avx2, k::Isa::Avx512, k::Isa::Neon}) {
-    auto a = random_bytes(777, 1);
-    const auto a_copy = a;
-    const auto b = random_bytes(777, 2);
-    const auto c = random_bytes(777, 3);
-    const uint8_t* srcs[3] = {a.data(), b.data(), c.data()};
-    k::xor_many(a.data(), srcs, 3, 777, isa);
-    for (size_t i = 0; i < 777; ++i)
-      ASSERT_EQ(a[i], static_cast<uint8_t>(a_copy[i] ^ b[i] ^ c[i])) << k::isa_name(isa);
+namespace {
+
+constexpr k::Isa kAllIsas[] = {k::Isa::Scalar, k::Isa::Word64, k::Isa::Avx2, k::Isa::Avx512,
+                               k::Isa::Neon};
+
+/// dst aliases srcs[pos] exactly: v = s0 ^ .. ^ v ^ .. ^ s(k-1), at a ragged
+/// length so every kernel runs its vector body and its tail.
+void expect_in_place_safe(k::Isa isa, size_t arity, size_t pos) {
+  const size_t len = 777;
+  std::vector<std::vector<uint8_t>> srcs;
+  std::vector<const uint8_t*> ptrs;
+  for (size_t j = 0; j < arity; ++j) {
+    srcs.push_back(random_bytes(len, static_cast<uint32_t>(100 * arity + j)));
+    ptrs.push_back(srcs.back().data());
   }
+  const auto expected = oracle(srcs, len);
+  uint8_t* dst = srcs[pos].data();
+  k::xor_many(dst, ptrs.data(), arity, len, isa);
+  for (size_t i = 0; i < len; ++i)
+    ASSERT_EQ(dst[i], expected[i]) << k::isa_name(isa) << " k=" << arity << " dst=srcs["
+                                   << pos << "] i " << i;
+}
+
+}  // namespace
+
+TEST(Kernel, InPlaceAccumulationIsSafe) {
+  // dst aliases the first or a middle source: v ^= x ^ y ..., including
+  // arities past the unrolled k <= 8 loops.
+  for (k::Isa isa : kAllIsas)
+    for (size_t arity : {2u, 3u, 9u, 13u}) {
+      expect_in_place_safe(isa, arity, 0);
+      expect_in_place_safe(isa, arity, arity / 2);
+    }
 }
 
 TEST(Kernel, InPlaceAliasingLastSource) {
-  for (k::Isa isa :
-       {k::Isa::Scalar, k::Isa::Word64, k::Isa::Avx2, k::Isa::Avx512, k::Isa::Neon}) {
-    const auto a = random_bytes(321, 4);
-    auto b = random_bytes(321, 5);
-    const auto b_copy = b;
-    const uint8_t* srcs[2] = {a.data(), b.data()};
-    k::xor_many(b.data(), srcs, 2, 321, isa);
-    for (size_t i = 0; i < 321; ++i)
-      ASSERT_EQ(b[i], static_cast<uint8_t>(a[i] ^ b_copy[i])) << k::isa_name(isa);
-  }
+  for (k::Isa isa : kAllIsas)
+    for (size_t arity : {2u, 3u, 9u, 13u}) expect_in_place_safe(isa, arity, arity - 1);
 }
 
 TEST(Kernel, MisalignedPointers) {

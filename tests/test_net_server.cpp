@@ -2,8 +2,9 @@
 // UDP socket): remote encode matches local encode byte for byte, remote
 // reconstruct is a wire-served degraded read, malformed and unsatisfiable
 // requests come back as clean Error frames on a connection that stays
-// usable, the per-pool ServiceStats net counters see the traffic, and
-// global backpressure parks pipelined requests without losing one.
+// usable, the per-pool ServiceStats net counters see the traffic, global
+// backpressure parks pipelined requests without losing one, and a peer that
+// resets mid-response costs only its own connection.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -347,9 +348,10 @@ TEST(NetServer, GlobalBackpressureParksPipelinedRequestsAndAnswersEveryOne) {
   NetServer server(service, opt);
   server.start();
 
-  // The slowest backend keeps each job running long enough for the other
-  // connection's request to arrive behind it.
-  const std::string spec = "rs(6,4)@passes=base,isa=scalar,exec=interp";
+  // The slowest configuration (unoptimized program, byte-wise kernel) keeps
+  // each job running long enough for the other connection's request to
+  // arrive behind it.
+  const std::string spec = "rs(6,4)@passes=base,isa=scalar";
   constexpr size_t kConns = 2, kPerConn = 4, kFrag = 256 << 10;
   const auto codec = make_codec(spec);
 
@@ -436,5 +438,103 @@ TEST(NetServer, GlobalBackpressureParksPipelinedRequestsAndAnswersEveryOne) {
   const NetServerStats st = server.stats();
   EXPECT_EQ(st.requests, kConns * kPerConn);
   EXPECT_GT(st.backpressure_stalls, 0u);
+  server.stop();
+}
+
+/// Poll `done` every 20 ms for up to 20 s.
+template <typename Pred>
+bool wait_for(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return true;
+}
+
+TEST(NetServer, PeerResetMidResponseCostsOnlyItsConnection) {
+  // A peer gone while its response is in flight must cost only its
+  // connection: a send without MSG_NOSIGNAL raises SIGPIPE and kills the
+  // serving process. SIGPIPE keeps its default action here on purpose.
+  CodecService service;
+  ServerOptions opt;
+  opt.max_inflight_per_conn = 1;  // a request in flight pauses reads
+  NetServer server(service, opt);
+  server.start();
+
+  // A 24 MiB encode: its 16 MiB response outgrows any socket buffer.
+  const std::string spec = "rs(6,4)@isa=scalar";
+  constexpr size_t kBigFrag = 4u << 20;
+  std::vector<std::vector<uint8_t>> data(kK, std::vector<uint8_t>(kBigFrag, 0x5A));
+  std::vector<const uint8_t*> ptrs;
+  for (auto& frag : data) ptrs.push_back(frag.data());
+  FrameHeader h;
+  h.type = FrameType::EncodeRequest;
+  h.request_id = 1;
+  h.k = kK;
+  h.frag_len = kBigFrag;
+  h.present_bitmap = (uint64_t{1} << kK) - 1;
+  h.payload_count = kK;
+  const std::vector<uint8_t> frame = build_frame(h, spec, ptrs.data());
+  const uint64_t response_bytes = uint64_t{kM} * kBigFrag;
+
+  // 1. Close right after the request. With it in flight the server does not
+  //    read the FIN, so it learns of the close only when its first response
+  //    write draws a RST; the write after that fails with EPIPE.
+  {
+    const int fd = connect_tcp(server.tcp_port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(write_all(fd, frame));
+    ::close(fd);
+    ASSERT_TRUE(wait_for([&] {
+      const NetServerStats st = server.stats();
+      return st.responses >= 1 && st.connections_open == 0;
+    })) << "server kept the closed connection";
+  }
+
+  // 2. A reader that stalls part-way through its response, then resets.
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int rcvbuf = 4096;  // set before connect, so the window stays small
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_port = htons(server.tcp_port());
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+    const uint64_t before = server.stats().tcp_bytes_out;
+    ASSERT_TRUE(write_all(fd, frame));
+    // Sent some of the response, then nothing for 10 polls in a row.
+    uint64_t last = before;
+    int still = 0;
+    ASSERT_TRUE(wait_for([&] {
+      const uint64_t out = server.stats().tcp_bytes_out;
+      still = out > before && out == last ? still + 1 : 0;
+      last = out;
+      return still == 10;
+    })) << "response never stalled";
+    ASSERT_LT(last - before, response_bytes);
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)), 0);
+    ::close(fd);
+    ASSERT_TRUE(wait_for([&] { return server.stats().connections_open == 0; }));
+  }
+
+  // 3. The process survived both, and a new client is served.
+  const auto small = make_data();
+  std::vector<const uint8_t*> small_ptrs;
+  for (const auto& frag : small) small_ptrs.push_back(frag.data());
+  std::vector<std::vector<uint8_t>> remote(kM, std::vector<uint8_t>(kFragLen));
+  std::vector<std::vector<uint8_t>> local(kM, std::vector<uint8_t>(kFragLen));
+  std::vector<uint8_t*> remote_ptrs, local_ptrs;
+  for (uint32_t i = 0; i < kM; ++i) {
+    remote_ptrs.push_back(remote[i].data());
+    local_ptrs.push_back(local[i].data());
+  }
+  Client client("127.0.0.1", server.tcp_port());
+  client.encode(kSpec, small_ptrs.data(), kK, remote_ptrs.data(), kM, kFragLen);
+  make_codec(kSpec)->encode(small_ptrs.data(), local_ptrs.data(), kFragLen);
+  EXPECT_EQ(remote, local);
   server.stop();
 }

@@ -90,17 +90,14 @@ TEST_P(ExecutorSweep, FullPipelineMatchesOracle) {
   const auto [block, isa, threads, stagger] = GetParam();
   const slp::Program base = random_flat(40, 16, 99);
   const slp::Program sched = slp::schedule_dfs(slp::fuse(slp::xor_repair_compress(base)));
-  for (auto backend : {runtime::ExecBackend::Interp, runtime::ExecBackend::Lowered}) {
-    runtime::ExecOptions opt;
-    opt.block_size = block;
-    opt.isa = isa;
-    opt.threads = threads;
-    opt.stagger_scratch = stagger;
-    opt.backend = backend;
-    run_and_check(sched, opt, 10240, 7);
-    run_and_check(sched, opt, 10000, 8);  // ragged tail (not a block multiple)
-    run_and_check(sched, opt, 100, 9);    // shorter than one block
-  }
+  runtime::ExecOptions opt;
+  opt.block_size = block;
+  opt.isa = isa;
+  opt.threads = threads;
+  opt.stagger_scratch = stagger;
+  run_and_check(sched, opt, 10240, 7);
+  run_and_check(sched, opt, 10000, 8);  // ragged tail (not a block multiple)
+  run_and_check(sched, opt, 100, 9);    // shorter than one block
 }
 
 std::string executor_sweep_name(
@@ -172,67 +169,31 @@ TEST(StripArena, StripsDoNotOverlap) {
       ASSERT_EQ(arena.strip(i)[b], static_cast<uint8_t>(i + 1)) << i << ":" << b;
 }
 
-// ---- lowered backend -------------------------------------------------------
-
-TEST(LoweredProgram, ResolvesBackendAndIsa) {
-  runtime::Executor auto_exec(runtime::compile(make_peg()), {});
-  EXPECT_EQ(auto_exec.backend(), runtime::ExecBackend::Lowered);
-  EXPECT_NE(auto_exec.lowered(), nullptr);
-  EXPECT_NE(auto_exec.isa(), kernel::Isa::Auto);  // resolved to a real family
-
-  runtime::Executor interp(runtime::compile(make_peg()),
-                           {.backend = runtime::ExecBackend::Interp});
-  EXPECT_EQ(interp.backend(), runtime::ExecBackend::Interp);
-  EXPECT_EQ(interp.lowered(), nullptr);
+TEST(Executor, ResolvesIsa) {
+  runtime::Executor exec(runtime::compile(make_peg()), {});
+  EXPECT_NE(exec.isa(), kernel::Isa::Auto);  // resolved to a real kernel
+  EXPECT_EQ(exec.isa(), kernel::kernel_table(kernel::Isa::Auto).isa);
 }
 
-TEST(LoweredProgram, FixedArityBindingAndOracle) {
-  // A fused program's instructions all land on fixed-arity or accumulate
-  // kernels (arity <= 8 after fusion of a small code) — the variadic
-  // fallback should be the exception, not the rule.
+TEST(Executor, FusedRandomProgramMatchesOracle) {
+  // Fusion leaves a mix of narrow (unrolled kernel) and wide (source-loop)
+  // instructions, several reading the output strips earlier ones wrote.
   const slp::Program base = random_flat(24, 8, 42);
   const slp::Program fu = slp::fuse(slp::xor_repair_compress(base));
-  runtime::Executor exec(runtime::compile(fu), {.block_size = 512});
-  ASSERT_NE(exec.lowered(), nullptr);
-  const auto& lp = *exec.lowered();
-  EXPECT_GT(lp.fixed_ops() + lp.accum_ops(), 0u);
-  EXPECT_LE(lp.fixed_ops() + lp.accum_ops() + lp.nt_ops(), lp.ops().size());
   run_and_check(fu, {.block_size = 512}, 10000, 11);
 }
 
-TEST(LoweredProgram, InPlacePebbleAccumulatesViaFusedKernels) {
-  // P_reg updates registers in place (dst appears in its own sources); the
-  // lowering must fold those into accumulate kernels and stay correct.
-  runtime::Executor exec(runtime::compile(make_preg()), {.block_size = 256});
-  ASSERT_NE(exec.lowered(), nullptr);
+TEST(Executor, InPlacePebbleMatchesOracle) {
+  // P_reg updates registers in place (dst appears in its own sources), so
+  // the kernel's exact dst/src aliasing carries the old-value semantics.
   run_and_check(make_preg(), {.block_size = 256}, 4096, 12);
 }
 
-TEST(LoweredProgram, NtThresholdGatesStreamingStores) {
+TEST(Executor, LargeBlocksWithRaggedTailMatchOracle) {
+  // Blocks far past the cache, over several blocks plus a ragged tail.
   const slp::Program base = random_flat(24, 8, 77);
-  const auto prog = runtime::compile(slp::fuse(slp::xor_repair_compress(base)));
-
-  runtime::ExecOptions small;  // default nt_threshold >> block: no NT ops
-  small.block_size = 2048;
-  runtime::Executor cold(prog, small);
-  ASSERT_NE(cold.lowered(), nullptr);
-  EXPECT_EQ(cold.lowered()->nt_ops(), 0u);
-
-  runtime::ExecOptions big;
-  big.block_size = 1 << 20;
-  big.nt_threshold = 1 << 20;
-  runtime::Executor hot(prog, big);
-  ASSERT_NE(hot.lowered(), nullptr);
-  if (kernel::kernel_table(kernel::Isa::Auto).isa == kernel::Isa::Avx2 ||
-      kernel::kernel_table(kernel::Isa::Auto).isa == kernel::Isa::Avx512) {
-    // Every final output write with no later reader streams.
-    EXPECT_GT(hot.lowered()->nt_ops(), 0u);
-  }
-  // Still byte-identical at a length spanning several huge blocks plus tail.
-  runtime::ExecOptions run_opt = big;
-  run_opt.block_size = 1 << 16;
-  run_opt.nt_threshold = 1 << 16;
-  run_and_check(slp::fuse(slp::xor_repair_compress(base)), run_opt, (1 << 17) + 333, 13);
+  run_and_check(slp::fuse(slp::xor_repair_compress(base)), {.block_size = 1 << 16},
+                (1 << 17) + 333, 13);
 }
 
 TEST(Executor, ScratchFreelistStaysBounded) {
